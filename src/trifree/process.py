@@ -12,26 +12,53 @@ Every unordered vertex pair carries exactly one status at all times:
     EDGE    already inserted
     CLOSED  not an edge, but the endpoints share a neighbour
 
-Statuses live in a packed triangular byte array, so lookups are O(1) and
-the store costs n(n-1)/2 bytes.  Open pairs additionally sit in a dense
-array with a rank->position index, giving O(1) uniform sampling and O(1)
-deletion (swap with last).  A step therefore costs O(deg u + deg v).
+The pair store is two bitmasks per vertex, held as Python ints: bit w of
+`_open_mask[v]` is set iff {v, w} is OPEN, bit w of `_adj_mask[v]` iff
+it is an EDGE, and a CLOSED pair has neither.  Inserting {u, v} closes
+exactly the pairs {v, w} with w in `adj_mask[u] & open_mask[v]` and
+{u, w} with w in `adj_mask[v] & open_mask[u]`, so a step visits only the
+pairs it closes: O(1 + closed) interpreter iterations, each mask
+operation running in C.  The same masks give a pair's partial-vertex
+count as two popcounts.  Open pairs additionally sit in a dense array
+with a rank->position index, giving O(1) uniform sampling and O(1)
+deletion (swap with last).  The store costs about BYTES_PER_PAIR bytes
+per pair (the two index lists share their int objects) plus n^2/4 bytes
+of masks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Callable
 
-DEFAULT_VERTEX_GUARD = 65535  # status store is n(n-1)/2 bytes; guard the allocation
+# Measured with tracemalloc at n = 2000 (48.6, masks and adjacency sets
+# included): the open list's pointer and int object plus the position
+# list's pointer to the same int.
+BYTES_PER_PAIR = 49
 
 
 class SizingError(ValueError):
     """Raised when a requested vertex count cannot be simulated."""
+
+
+def estimated_bytes(n: int) -> int:
+    """Memory a fresh ProcessState(n) needs: the open-pair index and the masks."""
+    return BYTES_PER_PAIR * (n * (n - 1) // 2) + n * n // 4
+
+
+@functools.cache
+def physical_memory_bytes() -> int | None:
+    """Physical memory of this machine, or None where the OS cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 class PairStatus(IntEnum):
@@ -126,14 +153,17 @@ class ProcessState:
         seed: int,
         *,
         record_frozen_y: bool = False,
-        vertex_guard: int = DEFAULT_VERTEX_GUARD,
+        memory_limit: int | None = None,
     ) -> None:
+        """`memory_limit` is in bytes; None means this machine's physical memory."""
         if n < 2:
             raise SizingError(f"need at least 2 vertices to form a pair, got n={n}")
-        if n > vertex_guard:
+        limit = physical_memory_bytes() if memory_limit is None else memory_limit
+        need = estimated_bytes(n)
+        if limit is not None and need > limit:
             raise SizingError(
-                f"n={n} exceeds the memory guard ({vertex_guard}); "
-                f"the status store alone would need n(n-1)/2 bytes"
+                f"n={n} needs about {need} bytes for the pair store, "
+                f"more than the memory limit of {limit} bytes"
             )
         self.n = n
         self.seed = seed
@@ -141,9 +171,11 @@ class ProcessState:
         self._total = total
         # rank of pair (a, b) with a < b is _rowbase[a] + b
         self._rowbase = [a * n - a * (a + 1) // 2 - a - 1 for a in range(n)]
-        self._status = bytearray(total)  # all OPEN
+        full = (1 << n) - 1
+        self._open_mask = [full ^ (1 << v) for v in range(n)]  # all OPEN
+        self._adj_mask = [0] * n
         self._open = list(range(total))
-        self._open_pos = list(range(total))
+        self._open_pos = self._open.copy()  # shares the int objects of _open
         self._open_size = total
         self.adjacency: list[set[int]] = [set() for _ in range(n)]
         self.edge_log: list[tuple[int, int]] = []
@@ -189,23 +221,24 @@ class ProcessState:
         return self._rowbase[u] + v
 
     def _unrank(self, rank: int) -> tuple[int, int]:
-        n = self.n
-        tn = 2 * n - 1
-        u = int((tn - math.sqrt(tn * tn - 8 * rank)) // 2)
-        if u < 0:
-            u = 0
-        elif u > n - 2:
-            u = n - 2
-        # row of u starts at rank(u, u+1); fix any float rounding
-        rowbase = self._rowbase
-        while u > 0 and rowbase[u] + u + 1 > rank:
-            u -= 1
-        while u < n - 2 and rowbase[u + 1] + u + 2 <= rank:
-            u += 1
-        return u, rank - rowbase[u]
+        # Read from the end, rows hold 1, 2, 3, ... pairs, so the pair
+        # `back` places before the last lies in row k from the end (0-based)
+        # for the largest k with k(k+1)/2 <= back; isqrt makes this exact.
+        back = self._total - 1 - rank
+        k = (math.isqrt(8 * back + 1) - 1) >> 1
+        u = self.n - 2 - k
+        return u, rank - self._rowbase[u]
+
+    def _stored_status(self, u: int, v: int) -> PairStatus:
+        if self._open_mask[u] >> v & 1:
+            return PairStatus.OPEN
+        if self._adj_mask[u] >> v & 1:
+            return PairStatus.EDGE
+        return PairStatus.CLOSED
 
     def pair_status(self, u: int, v: int) -> PairStatus:
-        return PairStatus(self._status[self._rank(u, v)])
+        self._rank(u, v)
+        return self._stored_status(u, v)
 
     # ------------------------------------------------------------------
     # stepping
@@ -227,10 +260,9 @@ class ProcessState:
         Intended for building test fixtures; the pair must be open.
         """
         rank = self._rank(u, v)
-        if self._status[rank] != PairStatus.OPEN:
-            raise ValueError(
-                f"pair ({u}, {v}) is {PairStatus(self._status[rank]).name}, not OPEN"
-            )
+        status = self._stored_status(u, v)
+        if status != PairStatus.OPEN:
+            raise ValueError(f"pair ({u}, {v}) is {status.name}, not OPEN")
         return self._insert(rank)
 
     def _insert(self, rank: int) -> StepResult:
@@ -238,7 +270,8 @@ class ProcessState:
         if self._frozen is not None:
             self._frozen[rank] = frozenset(self.partial_set(u, v))
 
-        status = self._status
+        open_mask = self._open_mask
+        adj_mask = self._adj_mask
         open_list = self._open
         open_pos = self._open_pos
         rowbase = self._rowbase
@@ -251,42 +284,48 @@ class ProcessState:
         open_list[pos] = last
         open_pos[last] = pos
         open_pos[rank] = -1
-        status[rank] = 1
-
-        adj_u = self.adjacency[u]
-        adj_v = self.adjacency[v]
-        newly: list[tuple[int, int]] = []
+        bit_u = 1 << u
+        bit_v = 1 << v
 
         # every open pair {v, w} with w a neighbour of u gains the common
         # neighbour u, and symmetrically for {u, w}; those pairs close now
-        for w in adj_u:
+        close_v = adj_mask[u] & open_mask[v]
+        close_u = adj_mask[v] & open_mask[u]
+        open_mask[v] ^= close_v | bit_u
+        open_mask[u] ^= close_u | bit_v
+        adj_mask[u] |= bit_v
+        adj_mask[v] |= bit_u
+        newly: list[tuple[int, int]] = []
+        while close_v:
+            w = close_v.bit_length() - 1
+            close_v ^= 1 << w
+            open_mask[w] ^= bit_v
             a, b = (v, w) if v < w else (w, v)
             r = rowbase[a] + b
-            if status[r] == 0:
-                status[r] = 2
-                size -= 1
-                p = open_pos[r]
-                last = open_list[size]
-                open_list[p] = last
-                open_pos[last] = p
-                open_pos[r] = -1
-                newly.append((a, b))
-        for w in adj_v:
+            size -= 1
+            p = open_pos[r]
+            last = open_list[size]
+            open_list[p] = last
+            open_pos[last] = p
+            open_pos[r] = -1
+            newly.append((a, b))
+        while close_u:
+            w = close_u.bit_length() - 1
+            close_u ^= 1 << w
+            open_mask[w] ^= bit_u
             a, b = (u, w) if u < w else (w, u)
             r = rowbase[a] + b
-            if status[r] == 0:
-                status[r] = 2
-                size -= 1
-                p = open_pos[r]
-                last = open_list[size]
-                open_list[p] = last
-                open_pos[last] = p
-                open_pos[r] = -1
-                newly.append((a, b))
+            size -= 1
+            p = open_pos[r]
+            last = open_list[size]
+            open_list[p] = last
+            open_pos[last] = p
+            open_pos[r] = -1
+            newly.append((a, b))
 
         self._open_size = size
-        adj_u.add(v)
-        adj_v.add(u)
+        self.adjacency[u].add(v)
+        self.adjacency[v].add(u)
         self.edge_log.append((u, v))
         return StepResult(chosen=(u, v), newly_closed=tuple(newly))
 
@@ -327,40 +366,51 @@ class ProcessState:
                 f"({u}, {v}) is an edge; vertex classification is defined "
                 f"for non-edge pairs only"
             )
-        s_uw = self._status[self._rank(u, w)]
-        s_vw = self._status[self._rank(v, w)]
-        if s_uw == 0 and s_vw == 0:
+        self._check_vertex(w)
+        open_w = self._open_mask[w]
+        adj_w = self._adj_mask[w]
+        open_u, open_v = open_w >> u & 1, open_w >> v & 1
+        edge_u, edge_v = adj_w >> u & 1, adj_w >> v & 1
+        if open_u and open_v:
             return VertexClass.OPEN_VERTEX
-        if (s_uw, s_vw) in ((0, 1), (1, 0)):
+        if (open_u and edge_v) or (edge_u and open_v):
             return VertexClass.PARTIAL
-        if s_uw == 1 and s_vw == 1:
+        if edge_u and edge_v:
             return VertexClass.COMPLETE
         return VertexClass.NEITHER
 
-    def partial_set(self, u: int, v: int) -> set[int]:
-        """All partial vertices of the non-edge pair {u, v}.
-
-        Computed on demand by scanning both neighbourhoods, so the cost
-        is O(deg u + deg v).
-        """
-        rank = self._rank(u, v)
-        if self._status[rank] == PairStatus.EDGE:
+    def _partial_masks(self, u: int, v: int) -> tuple[int, int]:
+        """The partial vertices w of the non-edge {u, v}, as two disjoint
+        masks: {u, w} an edge with {v, w} open, and the other way round."""
+        self._rank(u, v)
+        if self._adj_mask[u] >> v & 1:
             raise ValueError(
                 f"({u}, {v}) is an edge; use frozen_partial_set for the "
                 f"set recorded at insertion time"
             )
-        status = self._status
-        rowbase = self._rowbase
+        adj_mask = self._adj_mask
+        open_mask = self._open_mask
+        return adj_mask[u] & open_mask[v], adj_mask[v] & open_mask[u]
+
+    def partial_set(self, u: int, v: int) -> set[int]:
+        """All partial vertices of the non-edge pair {u, v}.
+
+        Enumerates the set bits of two mask intersections, so the cost is
+        O(1 + |partial set|) interpreter iterations.
+        """
+        via_u, via_v = self._partial_masks(u, v)
+        bits = via_u | via_v
         out: set[int] = set()
-        for w in self.adjacency[u]:  # {u,w} is an edge; need {v,w} open
-            a, b = (v, w) if v < w else (w, v)
-            if status[rowbase[a] + b] == 0:
-                out.add(w)
-        for w in self.adjacency[v]:
-            a, b = (u, w) if u < w else (w, u)
-            if status[rowbase[a] + b] == 0:
-                out.add(w)
+        while bits:
+            w = bits.bit_length() - 1
+            bits ^= 1 << w
+            out.add(w)
         return out
+
+    def partial_count(self, u: int, v: int) -> int:
+        """|partial_set(u, v)|, as two popcounts."""
+        via_u, via_v = self._partial_masks(u, v)
+        return via_u.bit_count() + via_v.bit_count()
 
     def frozen_partial_set(self, u: int, v: int) -> frozenset[int] | None:
         """Partial set of an edge, as recorded just before its insertion.
@@ -369,7 +419,7 @@ class ProcessState:
         enabled.  Raises for pairs that were never inserted.
         """
         rank = self._rank(u, v)
-        if self._status[rank] != PairStatus.EDGE:
+        if not self._adj_mask[u] >> v & 1:
             raise ValueError(f"({u}, {v}) was never inserted")
         if self._frozen is None:
             return None
@@ -381,13 +431,13 @@ class ProcessState:
         Exactly |partial_set(u, v)| / Q: the pair closes precisely when
         the missing edge at one of its partial vertices is chosen.
         """
-        rank = self._rank(u, v)
-        if self._status[rank] != PairStatus.OPEN:
+        status = self.pair_status(u, v)
+        if status != PairStatus.OPEN:
             raise ValueError(
-                f"({u}, {v}) is {PairStatus(self._status[rank]).name}; "
+                f"({u}, {v}) is {status.name}; "
                 f"closure probability is defined for open pairs"
             )
-        return Fraction(len(self.partial_set(u, v)), self._open_size)
+        return Fraction(self.partial_count(u, v), self._open_size)
 
     def sample_open_pairs(
         self, count: int, rng: random.Random
@@ -425,18 +475,24 @@ class ProcessState:
             ranks = rng.sample(range(total), sample_size)
             checked = sample_size
 
+        # each pair is stored twice, as (open bit, edge bit) under either
+        # endpoint; a copy that disagrees with the ground truth is a
+        # discrepancy
+        open_mask = self._open_mask
+        adj_mask = self._adj_mask
         discrepancies: list[tuple[int, int, PairStatus, PairStatus]] = []
         for r in ranks:
             u, v = self._unrank(r)
-            stored = PairStatus(self._status[r])
             if v in adj[u]:
-                actual = PairStatus.EDGE
+                actual, bits = PairStatus.EDGE, (0, 1)
             elif not adj[u].isdisjoint(adj[v]):
-                actual = PairStatus.CLOSED
+                actual, bits = PairStatus.CLOSED, (0, 0)
             else:
-                actual = PairStatus.OPEN
-            if stored != actual:
-                discrepancies.append((u, v, stored, actual))
+                actual, bits = PairStatus.OPEN, (1, 0)
+            if (open_mask[u] >> v & 1, adj_mask[u] >> v & 1) != bits:
+                discrepancies.append((u, v, self._stored_status(u, v), actual))
+            elif (open_mask[v] >> u & 1, adj_mask[v] >> u & 1) != bits:
+                discrepancies.append((u, v, self._stored_status(v, u), actual))
 
         triangles: list[tuple[int, int, int]] = []
         for u, v in self.edge_log:
@@ -449,7 +505,9 @@ class ProcessState:
             discrepancies=tuple(discrepancies),
             edges_scanned=len(self.edge_log),
             triangles=tuple(triangles),
-            open_count_consistent=self._status.count(0) == self._open_size,
+            open_count_consistent=(
+                sum(m.bit_count() for m in self._open_mask) == 2 * self._open_size
+            ),
         )
 
 
@@ -458,9 +516,9 @@ def new_process(
     seed: int,
     *,
     record_frozen_y: bool = False,
-    vertex_guard: int = DEFAULT_VERTEX_GUARD,
+    memory_limit: int | None = None,
 ) -> ProcessState:
     """Create a fresh process: step 0, empty graph, every pair open."""
     return ProcessState(
-        n, seed, record_frozen_y=record_frozen_y, vertex_guard=vertex_guard
+        n, seed, record_frozen_y=record_frozen_y, memory_limit=memory_limit
     )

@@ -283,7 +283,7 @@ def take_checkpoint(
     formal_q_ok = abs(q_obs - q_pred) <= q_env
 
     pairs = state.sample_open_pairs(y_sample_count, rng)
-    y_samples = tuple(len(state.partial_set(u, v)) for u, v in pairs)
+    y_samples = tuple(state.partial_count(u, v) for u, v in pairs)
     y_pred = math.sqrt(n) * partial_vertex_curve(t)
     y_env = math.sqrt(n) * partial_vertex_envelope(t, n)
     if y_samples:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 
@@ -25,7 +26,7 @@ from trifree.harness import (
     write_sweep_files,
 )
 from trifree.patterns import FirstAppearanceTracker, cycle_pattern, pattern_text
-from trifree.process import Saturation, Steps
+from trifree.process import PairStatus, Saturation, Steps
 from trifree.trajectory import CHECKPOINT_COLUMNS, step_horizon
 
 C4_FILE_TEXT = pattern_text(cycle_pattern(4))
@@ -145,6 +146,38 @@ def test_run_artifacts_reproducible_bytes(tmp_path, c4_path):
     ).read_bytes()
 
 
+def test_run_golden_outputs(tmp_path, capsys, c4_path):
+    # Recorded with the bitmask pair store. A change that keeps the engine
+    # and the output schemas must leave these bytes as they are.
+    out = tmp_path / "run"
+    argv = ["run", "--n", "300", "--seed", "7", "--stop", "horizon:4"]
+    assert main(argv + ["--pattern", c4_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("edges.log", "checkpoints.csv")
+    }
+    assert digests == {
+        "edges.log": "8ba7282c98c0f3c0c9d40d20290fbee1d3142824b254bdfa2da741202012e220",
+        "checkpoints.csv": "2f1ddf29cf6b2ecf679374017f3d009f9e1982768b09b57fa23c37e53713b97e",
+    }
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["duration_seconds"], summary["checkpoint_path"]
+    assert summary == {
+        "blocked_fraction_at_horizon": {"c4": 0.0819},
+        "blocking_window_start": 2009,
+        "final_edge_count": 1548,
+        "final_step": 1548,
+        "first_appearance": {"c4": 269},
+        "horizon": 387,
+        "n": 300,
+        "saturated": False,
+        "schema_version": "1",
+        "seed": 7,
+        "stop": "horizon:4",
+    }
+
+
 def test_cmd_run_rejects_bad_pattern_before_simulating(tmp_path):
     bad = tmp_path / "bad.pattern"
     bad.write_text("3 3\n0 1\n1 2\n0 2\n")
@@ -237,10 +270,14 @@ def test_audit_run_clean():
 
 def test_audit_run_catches_corruption():
     def corrupt(state):
-        rank = next(
-            r for r in range(state.total_pairs) if state._status[r] == 0
+        u, v = next(
+            (u, v)
+            for u in range(state.n)
+            for v in range(u + 1, state.n)
+            if state.pair_status(u, v) == PairStatus.OPEN
         )
-        state._status[rank] = 2
+        state._open_mask[u] &= ~(1 << v)
+        state._open_mask[v] &= ~(1 << u)
 
     outcome = audit_run(RunConfig(n=20, seed=3), corruptor=corrupt)
     assert not outcome.ok

@@ -18,6 +18,7 @@ from trifree.process import (
     Steps,
     TimeLimit,
     VertexClass,
+    estimated_bytes,
     new_process,
 )
 
@@ -54,12 +55,14 @@ def test_new_process_rejects_single_vertex():
 
 
 def test_new_process_memory_guard():
-    with pytest.raises(SizingError, match="guard"):
-        new_process(70_000, seed=0)
-    # the guard is configurable
-    with pytest.raises(SizingError):
-        ProcessState(11, seed=0, vertex_guard=10)
-    assert ProcessState(10, seed=0, vertex_guard=10).n == 10
+    # 10^6 vertices need about 2.4e13 bytes, beyond any machine's memory
+    with pytest.raises(SizingError, match="memory limit"):
+        new_process(1_000_000, seed=0)
+    # the limit is in bytes, configurable, and the message names both numbers
+    need = estimated_bytes(11)
+    with pytest.raises(SizingError, match=f"{need} bytes.*{need - 1} bytes"):
+        ProcessState(11, seed=0, memory_limit=need - 1)
+    assert ProcessState(11, seed=0, memory_limit=need).n == 11
 
 
 def test_initial_state_all_open():
@@ -154,6 +157,21 @@ def test_pair_status_cases():
     assert state.pair_status(0, 1) == PairStatus.EDGE
     # vertex 3 is isolated
     assert state.pair_status(0, 3) == PairStatus.OPEN
+
+
+def test_rank_unrank_roundtrip():
+    for n in range(2, 65):
+        state = new_process(n, seed=0)
+        pairs = all_pairs(n)
+        assert [state._rank(u, v) for u, v in pairs] == list(range(len(pairs)))
+        assert [state._unrank(r) for r in range(len(pairs))] == pairs
+    state = new_process(2000, seed=0)
+    total = state.total_pairs
+    rng = random.Random(5)
+    for rank in [0, total - 1] + [rng.randrange(total) for _ in range(10_000)]:
+        u, v = state._unrank(rank)
+        assert 0 <= u < v < 2000
+        assert state._rank(u, v) == rank
 
 
 def test_pair_status_argument_errors():
@@ -271,16 +289,27 @@ def test_audit_clean_after_runs():
     assert report.triangles == ()
 
 
+def clear_open_bit(state, one_sided=False):
+    """Flip one stored OPEN pair {u, v}, u < v, to CLOSED behind the
+    engine's back: in both endpoints' masks, or only in v's, which a check
+    reading u's side alone would miss."""
+    u, v = next(
+        (u, v) for u, v in all_pairs(state.n) if state.pair_status(u, v) == PairStatus.OPEN
+    )
+    state._open_mask[v] &= ~(1 << u)
+    if not one_sided:
+        state._open_mask[u] &= ~(1 << v)
+
+
 def test_audit_detects_corrupted_status():
-    state = new_process(10, seed=8)
-    state.run(Steps(5))
-    # flip one stored OPEN to CLOSED behind the engine's back
-    rank = next(r for r in range(state.total_pairs) if state._status[r] == 0)
-    state._status[rank] = 2
-    report = state.audit(state.total_pairs)
-    assert not report.ok
-    assert len(report.discrepancies) == 1
-    assert not report.open_count_consistent
+    for one_sided in (False, True):
+        state = new_process(10, seed=8)
+        state.run(Steps(5))
+        clear_open_bit(state, one_sided)
+        report = state.audit(state.total_pairs)
+        assert not report.ok
+        assert len(report.discrepancies) == 1
+        assert not report.open_count_consistent
 
 
 def test_audit_detects_planted_triangle():
@@ -370,6 +399,23 @@ def test_full_run_invariants(n, seed):
             if stored == PairStatus.CLOSED:
                 closed_now.add((a, b))
         assert sum(counts.values()) == total
+
+        # partial-vertex counts and sets against a loop over the adjacency
+        for a, b in combinations(range(n), 2):
+            if b in state.adjacency[a]:
+                continue
+            reference = {
+                w
+                for w in range(n)
+                if w not in (a, b)
+                and {
+                    ground_truth_status(state.adjacency, *sorted((a, w))),
+                    ground_truth_status(state.adjacency, *sorted((b, w))),
+                }
+                == {PairStatus.EDGE, PairStatus.OPEN}
+            }
+            assert state.partial_set(a, b) == reference
+            assert state.partial_count(a, b) == len(reference)
         assert counts[PairStatus.OPEN] == state.open_pairs
         assert counts[PairStatus.EDGE] == state.steps
 
