@@ -228,10 +228,7 @@ def _do_pattern_check(args: argparse.Namespace) -> int:
             print(f"{path}: INVALID: {err}")
             status = EXIT_USAGE
         else:
-            print(
-                f"{path}: ok k={pattern.k} e={pattern.e} "
-                f"dense={'yes' if pattern.dense_flag else 'no'}"
-            )
+            print(f"{path}: ok k={pattern.k} e={pattern.e}")
     return status
 
 

@@ -248,7 +248,7 @@ def run_simulation(
         i = st.steps
         u, v = result.chosen
         for tracker in trackers:
-            tracker.offer(st.adjacency, u, v, i)
+            tracker.offer(st.edge_masks, u, v, i)
         if i == horizon:
             for tracker in trackers:
                 if tracker.pattern.k <= st.n:

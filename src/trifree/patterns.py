@@ -7,10 +7,15 @@ never become edges, a placement with any pattern edge on a closed pair
 is permanently blocked: no copy can ever appear on those positions.
 
 The search machinery is plain backtracking with degree pruning and
-candidate ordering by constraint count.  Appearance tracking during a
-run is incremental: after inserting an edge, only copies whose image
-uses that edge need to be searched, anchored at automorphism-distinct
-pattern edge orientations.
+candidate ordering by constraint count.  Graphs are read as bitmask
+rows (bit w of row v set iff {v, w} is an edge, as in
+`ProcessState.edge_masks`): the candidates for a pattern vertex are the
+AND of its placed neighbours' rows minus the used vertices, and a
+placement is classified by comparing, per pattern vertex, the mask of
+its neighbours' images against the open and edge rows.  Appearance
+tracking during a run is incremental: after inserting an edge, only
+copies whose image uses that edge need to be searched, anchored at
+automorphism-distinct pattern edge orientations.
 """
 
 from __future__ import annotations
@@ -23,12 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .process import PairStatus, ProcessState
-
-# patterns with at least this many edges per vertex count as dense for
-# the blocking analysis; far above what any small triangle-free graph
-# can reach, so the flag is informational
-DENSE_EDGE_FACTOR = 10240
+from .process import ProcessState, edge_rows
 
 DEFAULT_MAX_PATTERN_VERTICES = 12
 EXACT_SUBSET_GUARD = 10_000_000
@@ -50,10 +50,6 @@ class Pattern:
     def e(self) -> int:
         return len(self.edges)
 
-    @property
-    def dense_flag(self) -> bool:
-        return self.e >= DENSE_EDGE_FACTOR * self.k
-
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
         adj: list[set[int]] = [set() for _ in range(self.k)]
@@ -61,6 +57,15 @@ class Pattern:
             adj[a].add(b)
             adj[b].add(a)
         return tuple(frozenset(s) for s in adj)
+
+    @cached_property
+    def later_neighbours(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(a, neighbours of a above a) for every vertex a that has some."""
+        return tuple(
+            (a, later)
+            for a, nbrs in enumerate(self.adjacency)
+            if (later := tuple(sorted(b for b in nbrs if b > a)))
+        )
 
     @property
     def label(self) -> str:
@@ -220,39 +225,37 @@ def _build_order(
 
 
 def _search(
-    gadj: list[set[int]],
+    rows: list[int],
     order: list[tuple[int, tuple[int, ...], int]],
     idx: int,
     assign: dict[int, int],
-    used: set[int],
+    used: int,
     cap: int,
     witness: list[dict[int, int]],
 ) -> int:
-    """Count extensions of a partial assignment, stopping at cap."""
+    """Count extensions of a partial assignment, stopping at cap.
+
+    `rows` are the graph's edge rows and `used` is the mask of the
+    graph vertices the assignment already takes.
+    """
     if idx == len(order):
         if not witness:
             witness.append(dict(assign))
         return 1
     pv, nbrs, mindeg = order[idx]
-    if nbrs:
-        candidates = min((gadj[assign[b]] for b in nbrs), key=len)
-    else:
-        candidates = range(len(gadj))  # type: ignore[assignment]
+    candidates = (1 << len(rows)) - 1
+    for b in nbrs:
+        candidates &= rows[assign[b]]
+    candidates &= ~used
     found = 0
-    for c in candidates:
-        if c in used or len(gadj[c]) < mindeg:
-            continue
-        ok = True
-        for b in nbrs:
-            if c not in gadj[assign[b]]:
-                ok = False
-                break
-        if not ok:
+    while candidates:
+        c = candidates.bit_length() - 1
+        bit = 1 << c
+        candidates ^= bit
+        if rows[c].bit_count() < mindeg:
             continue
         assign[pv] = c
-        used.add(c)
-        found += _search(gadj, order, idx + 1, assign, used, cap - found, witness)
-        used.discard(c)
+        found += _search(rows, order, idx + 1, assign, used | bit, cap - found, witness)
         del assign[pv]
         if found >= cap:
             break
@@ -270,7 +273,7 @@ def find_copy(
         return None
     order = _build_order(pattern, anchored=None)
     witness: list[dict[int, int]] = []
-    if _search(gadj, order, 0, {}, set(), 1, witness):
+    if _search(edge_rows(gadj), order, 0, {}, 0, 1, witness):
         mapping = witness[0]
         return tuple(mapping[a] for a in range(pattern.k))
     return None
@@ -283,7 +286,7 @@ def count_copies(gadj: list[set[int]], pattern: Pattern, cap: int) -> int:
     if pattern.k > len(gadj):
         return 0
     order = _build_order(pattern, anchored=None)
-    return _search(gadj, order, 0, {}, set(), cap, [])
+    return _search(edge_rows(gadj), order, 0, {}, 0, cap, [])
 
 
 # ----------------------------------------------------------------------
@@ -361,25 +364,27 @@ class FirstAppearanceTracker:
             for pair in anchor_orientations(pattern)
         ]
 
-    def offer(self, gadj: list[set[int]], u: int, v: int, step: int) -> bool:
+    def offer(self, rows: list[int], u: int, v: int, step: int) -> bool:
         """Check for a copy using the just-inserted edge {u, v}.
 
-        Returns True exactly when this call records the first copy.
+        `rows` are the graph's edge rows (`ProcessState.edge_masks`); the
+        search only reads them.  Returns True exactly when this call
+        records the first copy.
         """
         if self.first_step is not None:
             return False
         if self.until_step is not None and step > self.until_step:
             return False
-        if self.pattern.k > len(gadj):
+        if self.pattern.k > len(rows):
             return False
         pattern_adj = self.pattern.adjacency
+        deg_u = rows[u].bit_count()
+        deg_v = rows[v].bit_count()
         for (a, b), order in self._anchors:
-            if len(gadj[u]) < len(pattern_adj[a]) or len(gadj[v]) < len(
-                pattern_adj[b]
-            ):
+            if deg_u < len(pattern_adj[a]) or deg_v < len(pattern_adj[b]):
                 continue
             witness: list[dict[int, int]] = []
-            if _search(gadj, order, 0, {a: u, b: v}, {u, v}, 1, witness):
+            if _search(rows, order, 0, {a: u, b: v}, 1 << u | 1 << v, 1, witness):
                 mapping = witness[0]
                 self.first_step = step
                 self.witness = tuple(mapping[x] for x in range(self.pattern.k))
@@ -537,15 +542,47 @@ class BlockReport:
 def classify_placement(
     state: ProcessState, pattern: Pattern, mapping: tuple[int, ...]
 ) -> PlacementClass:
-    """Classify one injective placement against current pair statuses."""
-    all_edges = True
-    for a, b in pattern.edges:
-        status = state.pair_status(mapping[a], mapping[b])
-        if status == PairStatus.CLOSED:
+    """Classify one injective placement against current pair statuses.
+
+    For each pattern vertex a, `want` masks the images of a's later
+    neighbours: some pattern edge is on a CLOSED pair iff `want` has a bit
+    in neither the open nor the edge row of a's image, and every pattern
+    edge is an EDGE iff `want` lies inside that edge row for every a.
+    Raises ValueError unless `mapping` takes the k pattern vertices to
+    distinct vertices of the graph.
+    """
+    n = state.n
+    k = pattern.k
+    distinct = len(mapping) == len(set(mapping)) == k
+    if not distinct or min(mapping) < 0 or max(mapping) >= n:
+        raise ValueError(
+            f"placement {mapping} must map the {k} pattern vertices "
+            f"to distinct vertices in range for n={n}"
+        )
+    return _classify(
+        state.open_masks, state.edge_masks, pattern.later_neighbours, mapping
+    )
+
+
+def _classify(
+    open_rows: list[int],
+    adj_rows: list[int],
+    later_neighbours: tuple[tuple[int, tuple[int, ...]], ...],
+    mapping: tuple[int, ...],
+) -> PlacementClass:
+    """classify_placement on a mapping known to be valid."""
+    realized = True
+    for a, later in later_neighbours:
+        want = 0
+        for b in later:
+            want |= 1 << mapping[b]
+        v = mapping[a]
+        edge = adj_rows[v]
+        if want & ~(open_rows[v] | edge):
             return PlacementClass.BLOCKED
-        if status != PairStatus.EDGE:
-            all_edges = False
-    return PlacementClass.REALIZED if all_edges else PlacementClass.OPEN_COMPATIBLE
+        if want & ~edge:
+            realized = False
+    return PlacementClass.REALIZED if realized else PlacementClass.OPEN_COMPATIBLE
 
 
 def sample_placement(n: int, k: int, rng: random.Random) -> tuple[int, ...]:
@@ -568,12 +605,16 @@ def blocked_placements(
     """
     if pattern.k > state.n:
         raise ValueError(f"pattern needs {pattern.k} vertices, graph has {state.n}")
+    open_rows = state.open_masks
+    adj_rows = state.edge_masks
+    later = pattern.later_neighbours
     blocked = 0
     realized = 0
     kept: list[tuple[int, ...]] = []
     for _ in range(sample_count):
+        # a sampled placement is valid by construction: classify unchecked
         placement = sample_placement(state.n, pattern.k, rng)
-        verdict = classify_placement(state, pattern, placement)
+        verdict = _classify(open_rows, adj_rows, later, placement)
         if verdict == PlacementClass.BLOCKED:
             blocked += 1
             if len(kept) < keep_blocked:

@@ -201,6 +201,16 @@ class ProcessState:
     def total_pairs(self) -> int:
         return self._total
 
+    @property
+    def edge_masks(self) -> list[int]:
+        """Row v has bit w set iff {v, w} is an EDGE; the live store, not a copy."""
+        return self._adj_mask
+
+    @property
+    def open_masks(self) -> list[int]:
+        """Row v has bit w set iff {v, w} is OPEN; the live store, not a copy."""
+        return self._open_mask
+
     def __repr__(self) -> str:
         return (
             f"ProcessState(n={self.n}, steps={self.steps}, "
@@ -463,6 +473,11 @@ class ProcessState:
         Checks `sample_size` random pairs (all pairs if the sample covers
         the store) against statuses recomputed from adjacency alone, and
         scans every edge for a common endpoint neighbour (a triangle).
+        The ground truth is built as rows: a non-edge {v, w} is CLOSED iff
+        w is in the OR of the edge rows of v's neighbours.  A pair whose
+        stored row disagrees with the truth under either endpoint is
+        suspect, and only suspect pairs in the sample are compared one by
+        one, so a full audit costs O(n + edges) mask operations.
         """
         if rng is None:
             rng = random.Random(0xA0D17)
@@ -475,13 +490,31 @@ class ProcessState:
             ranks = rng.sample(range(total), sample_size)
             checked = sample_size
 
-        # each pair is stored twice, as (open bit, edge bit) under either
-        # endpoint; a copy that disagrees with the ground truth is a
-        # discrepancy
         open_mask = self._open_mask
         adj_mask = self._adj_mask
+        rowbase = self._rowbase
+        truth_edge = edge_rows(adj)
+        full = (1 << self.n) - 1
+        suspect: set[int] = set()
+        for v, edge in enumerate(truth_edge):
+            reach = 0
+            for x in adj[v]:
+                reach |= truth_edge[x]
+            others = full ^ (1 << v)
+            truth_open = others & ~(edge | reach)
+            wrong = ((open_mask[v] ^ truth_open) | (adj_mask[v] ^ edge)) & others
+            while wrong:
+                w = wrong.bit_length() - 1
+                wrong ^= 1 << w
+                suspect.add(rowbase[v] + w if v < w else rowbase[w] + v)
+
+        # each pair is stored twice, as (open bit, edge bit) under either
+        # endpoint; a copy that disagrees with the ground truth is a
+        # discrepancy.  Only suspect pairs can be one; the sample keeps
+        # its own order.
+        hits = [r for r in ranks if r in suspect] if suspect else []
         discrepancies: list[tuple[int, int, PairStatus, PairStatus]] = []
-        for r in ranks:
+        for r in hits:
             u, v = self._unrank(r)
             if v in adj[u]:
                 actual, bits = PairStatus.EDGE, (0, 1)
@@ -509,6 +542,17 @@ class ProcessState:
                 sum(m.bit_count() for m in self._open_mask) == 2 * self._open_size
             ),
         )
+
+
+def edge_rows(adjacency: list[set[int]]) -> list[int]:
+    """Adjacency sets as bitmask rows: bit w of row v is set iff w in adjacency[v]."""
+    rows = []
+    for nbrs in adjacency:
+        row = 0
+        for w in nbrs:
+            row |= 1 << w
+        rows.append(row)
+    return rows
 
 
 def new_process(

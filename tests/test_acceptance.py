@@ -93,9 +93,9 @@ def big_runs():
         while (result := state.step()) is not None:
             i = state.steps
             u, v = result.chosen
-            c4.offer(state.adjacency, u, v, i)
-            c6.offer(state.adjacency, u, v, i)
-            k66_tracker.offer(state.adjacency, u, v, i)
+            c4.offer(state.edge_masks, u, v, i)
+            c6.offer(state.edge_masks, u, v, i)
+            k66_tracker.offer(state.edge_masks, u, v, i)
             if i == m:
                 at_m["blocked"] = blocked_placements(
                     state, k66, PLACEMENT_SAMPLES, rng, keep_blocked=KEEP_BLOCKED

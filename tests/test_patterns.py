@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from trifree.process import ProcessState, Saturation, Steps
+from trifree.process import PairStatus, ProcessState, Saturation, Steps
 from trifree.patterns import (
     BlockReport,
     FirstAppearanceTracker,
@@ -76,7 +76,7 @@ def test_parse_c4():
     pattern = parse_pattern(C4_TEXT, name="C4")
     assert pattern.k == 4
     assert pattern.e == 4
-    assert not pattern.dense_flag
+    assert pattern.e <= pattern.k * pattern.k // 4
     assert pattern.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
 
 
@@ -89,7 +89,8 @@ def test_parse_rejects_triangle_with_witness():
 def test_k66_is_not_dense_flagged():
     pattern = complete_bipartite_pattern(6, 6)
     assert pattern.k == 12 and pattern.e == 36
-    assert not pattern.dense_flag  # 36 is far below 10240 * 12
+    # Mantel: a triangle-free graph on k vertices has at most k^2/4 edges
+    assert pattern.e <= pattern.k * pattern.k // 4
 
 
 def test_parse_error_line_numbers():
@@ -218,7 +219,7 @@ def test_tracker_single_edge_fires_at_step_one():
     state = ProcessState(10, seed=3)
     tracker = FirstAppearanceTracker(single_edge_pattern())
     result = state.step()
-    tracker.offer(state.adjacency, *result.chosen, state.steps)
+    tracker.offer(state.edge_masks, *result.chosen, state.steps)
     assert tracker.first_step == 1
 
 
@@ -226,7 +227,7 @@ def test_tracker_p3_on_three_vertices_fires_at_step_two():
     state = ProcessState(3, seed=11)
     tracker = FirstAppearanceTracker(path_pattern(2))
     while (result := state.step()) is not None:
-        tracker.offer(state.adjacency, *result.chosen, state.steps)
+        tracker.offer(state.edge_masks, *result.chosen, state.steps)
     assert tracker.first_step == 2
 
 
@@ -238,13 +239,14 @@ def test_tracker_matches_from_scratch_search():
         path_pattern(3),
         complete_bipartite_pattern(2, 3),
     ]
-    for seed in range(6):
-        state = ProcessState(14, seed=seed)
+    # n = 120 puts the rows past one machine word
+    for n, seed in [(14, s) for s in range(6)] + [(120, 0)]:
+        state = ProcessState(n, seed=seed)
         trackers = [FirstAppearanceTracker(p) for p in patterns]
         expected: dict[str, int | None] = {p.label: None for p in patterns}
         while (result := state.step()) is not None:
             for tracker in trackers:
-                tracker.offer(state.adjacency, *result.chosen, state.steps)
+                tracker.offer(state.edge_masks, *result.chosen, state.steps)
             for pattern in patterns:
                 if expected[pattern.label] is None and find_copy(
                     state.adjacency, pattern
@@ -258,7 +260,7 @@ def test_tracker_until_step_window():
     state = ProcessState(12, seed=1)
     tracker = FirstAppearanceTracker(single_edge_pattern(), until_step=0)
     result = state.step()
-    assert not tracker.offer(state.adjacency, *result.chosen, state.steps)
+    assert not tracker.offer(state.edge_masks, *result.chosen, state.steps)
     assert tracker.first_step is None
 
 
@@ -267,7 +269,7 @@ def test_tracker_witness_is_a_copy():
     pattern = cycle_pattern(4)
     tracker = FirstAppearanceTracker(pattern)
     while (result := state.step()) is not None:
-        if tracker.offer(state.adjacency, *result.chosen, state.steps):
+        if tracker.offer(state.edge_masks, *result.chosen, state.steps):
             break
     assert tracker.first_step is not None
     mapping = tracker.witness
@@ -415,6 +417,44 @@ def test_classify_placement_cases():
     # map the path onto 0-2 via 1: edge (0,1)->{0,2} closed
     assert classify_placement(state, p3, (0, 2, 1)) == PlacementClass.BLOCKED
     assert classify_placement(state, p3, (3, 4, 5)) == PlacementClass.OPEN_COMPATIBLE
+
+
+def test_classify_placement_rejects_bad_mapping():
+    state = ProcessState(6, seed=1)
+    p3 = path_pattern(2)
+    for mapping in [(0, 1, 0), (2, 2, 3), (0, 1, 6), (-1, 1, 2)]:
+        with pytest.raises(ValueError):
+            classify_placement(state, p3, mapping)
+
+
+def reference_placement_class(state, pattern, mapping):
+    """Verdict from one pair_status call per pattern edge (test-side oracle)."""
+    statuses = [state.pair_status(mapping[a], mapping[b]) for a, b in pattern.edges]
+    if PairStatus.CLOSED in statuses:
+        return PlacementClass.BLOCKED
+    if all(s == PairStatus.EDGE for s in statuses):
+        return PlacementClass.REALIZED
+    return PlacementClass.OPEN_COMPATIBLE
+
+
+def test_classify_placement_matches_pair_status_reference():
+    n = 100  # rows past one machine word
+    state = ProcessState(n, seed=5)
+    state.run(Steps(300))
+    rng = random.Random(12)
+    seen = set()
+    for pattern in [
+        cycle_pattern(4),
+        cycle_pattern(6),
+        complete_bipartite_pattern(6, 6),
+        path_pattern(2),
+    ]:
+        for _ in range(2000):
+            mapping = tuple(rng.sample(range(n), pattern.k))
+            verdict = classify_placement(state, pattern, mapping)
+            assert verdict == reference_placement_class(state, pattern, mapping)
+            seen.add(verdict)
+    assert seen == set(PlacementClass)
 
 
 def test_blocked_placements_keep_and_monotone_never_realized():

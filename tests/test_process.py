@@ -312,6 +312,53 @@ def test_audit_detects_corrupted_status():
         assert not report.open_count_consistent
 
 
+def reference_discrepancies(state, ranks):
+    """The per-pair audit loop: each pair in `ranks` compared with the
+    adjacency sets under both endpoints' stored bits (test-side oracle)."""
+    adj = state.adjacency
+    out = []
+    for r in ranks:
+        u, v = state._unrank(r)
+        if v in adj[u]:
+            actual, bits = PairStatus.EDGE, (0, 1)
+        elif not adj[u].isdisjoint(adj[v]):
+            actual, bits = PairStatus.CLOSED, (0, 0)
+        else:
+            actual, bits = PairStatus.OPEN, (1, 0)
+        for a, b in ((u, v), (v, u)):
+            if (state._open_mask[a] >> b & 1, state._adj_mask[a] >> b & 1) != bits:
+                out.append((u, v, state._stored_status(a, b), actual))
+                break
+    return tuple(out)
+
+
+def test_audit_matches_per_pair_reference():
+    n = 70  # rows past one machine word
+    sampled_hits = 0
+    for seed in range(5):
+        state = new_process(n, seed=seed)
+        state.run(Steps(150))
+        rng = random.Random(seed)
+        # flip OPEN or EDGE bits in one or both endpoints' rows
+        for _ in range(200):
+            u, v = rng.sample(range(n), 2)
+            mask = rng.choice((state._open_mask, state._adj_mask))
+            mask[u] ^= 1 << v
+            if rng.random() < 0.5:
+                mask[v] ^= 1 << u
+        total = state.total_pairs
+        report = state.audit(total)
+        assert report.discrepancies
+        assert report.discrepancies == reference_discrepancies(state, range(total))
+        sample = random.Random(seed).sample(range(total), 17)
+        sampled = state.audit(17, random.Random(seed))
+        assert sampled.discrepancies == reference_discrepancies(state, sample)
+        in_sample = {state._unrank(r) for r in sample}
+        assert all((u, v) in in_sample for u, v, _, _ in sampled.discrepancies)
+        sampled_hits += len(sampled.discrepancies)
+    assert sampled_hits > 0
+
+
 def test_audit_detects_planted_triangle():
     state = new_process(6, seed=8)
     state.force_step(0, 1)
