@@ -37,10 +37,13 @@ from .process import (
     AuditReport,
     ProcessState,
     Saturation,
+    SizingError,
     StepResult,
     Steps,
     TimeLimit,
     StopCondition,
+    estimated_bytes,
+    physical_memory_bytes,
 )
 from .trajectory import (
     CHECKPOINT_COLUMNS,
@@ -397,7 +400,9 @@ def sweep(
 
     Per-run seeds are template.seed + run_index, in grid order, so the
     row set is identical however many workers execute it.  Returns the
-    per-run rows and the per-n aggregate rows.
+    per-run rows and the per-n aggregate rows.  Raises SizingError before
+    any run starts when the largest run, once per concurrent worker, would
+    not fit in physical memory.
     """
     if not n_values or seeds_per_n < 1:
         raise ValueError("need at least one n and one seed per n")
@@ -406,6 +411,14 @@ def sweep(
         for s in range(seeds_per_n):
             index = ni * seeds_per_n + s
             configs.append(replace(template, n=n, seed=template.seed + index))
+    workers = min(jobs, len(configs)) if jobs > 1 else 1
+    need = estimated_bytes(max(n_values)) * workers
+    limit = physical_memory_bytes()
+    if limit is not None and need > limit:
+        raise SizingError(
+            f"{workers} concurrent run(s) at n={max(n_values)} need about "
+            f"{need} bytes, more than the {limit} bytes of physical memory"
+        )
     if jobs > 1:
         with Pool(processes=jobs) as pool:
             rows = pool.map(_sweep_worker, configs)

@@ -19,11 +19,17 @@ exactly the pairs {v, w} with w in `adj_mask[u] & open_mask[v]` and
 {u, w} with w in `adj_mask[v] & open_mask[u]`, so a step visits only the
 pairs it closes: O(1 + closed) interpreter iterations, each mask
 operation running in C.  The same masks give a pair's partial-vertex
-count as two popcounts.  Open pairs additionally sit in a dense array
-with a rank->position index, giving O(1) uniform sampling and O(1)
-deletion (swap with last).  The store costs about BYTES_PER_PAIR bytes
-per pair (the two index lists share their int objects) plus n^2/4 bytes
-of masks.
+count as two popcounts.
+
+The draw uses a lazy open-pair index: a sequence of pair ranks that
+holds every OPEN pair exactly once and possibly some pairs that have
+closed since it was built.  A step draws a uniform position and accepts
+the pair if the masks say it is OPEN, else draws again; conditioned on
+acceptance the pair is uniform over the open pairs, so the process is
+exact.  Insertions never touch the index.  It starts as `range(total)`
+and is rebuilt from the masks, as a compact `array` of exactly the OPEN
+ranks, once it holds more than 2Q + n entries; that costs O(n + Q) and
+keeps the expected draws per step below 2 + n/Q.
 """
 
 from __future__ import annotations
@@ -32,24 +38,43 @@ import functools
 import math
 import os
 import random
+from array import array
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Callable
 
-# Measured with tracemalloc at n = 2000 (48.6, masks and adjacency sets
-# included): the open list's pointer and int object plus the position
-# list's pointer to the same int.
-BYTES_PER_PAIR = 49
+# Bytes per inserted edge: two adjacency-set entries and an edge-log
+# tuple.  A tracemalloc run to saturation at n = 2000 measured 281 (the
+# sets' tables are 512 entries at degree ~100) and a peak of 30.2 MB.
+BYTES_PER_EDGE = 300
+# c(n) = final edges / (n^(3/2) sqrt(ln n)) reads 0.40-0.50 for
+# 30 <= n <= 4000 and tends to 1/(2 sqrt 2) ~ 0.354
+EDGE_COUNT_BOUND = 0.5
 
 
 class SizingError(ValueError):
     """Raised when a requested vertex count cannot be simulated."""
 
 
+def index_typecode(total: int) -> str:
+    """`array` typecode of the open-pair index: 4-byte ranks while they fit."""
+    return "I" if total <= 2**32 else "Q"
+
+
+@functools.cache  # a pure function of n, checked by every constructor
 def estimated_bytes(n: int) -> int:
-    """Memory a fresh ProcessState(n) needs: the open-pair index and the masks."""
-    return BYTES_PER_PAIR * (n * (n - 1) // 2) + n * n // 4
+    """Peak memory of a ProcessState(n) run to saturation, in bytes.
+
+    The index peaks at its first rebuild, with at most half the pairs;
+    the masks take n^2/4 bytes; the edges take BYTES_PER_EDGE each.
+    """
+    if n < 2:
+        return 0
+    total = n * (n - 1) // 2
+    index = array(index_typecode(total)).itemsize * total // 2
+    edges = EDGE_COUNT_BOUND * n * math.sqrt(n * math.log(n))
+    return index + n * n // 4 + int(BYTES_PER_EDGE * edges)
 
 
 @functools.cache
@@ -139,7 +164,7 @@ class AuditReport:
 
 
 class ProcessState:
-    """The evolving graph plus exact pair statuses and an O(1) open-pair sampler.
+    """The evolving graph plus exact pair statuses and a lazy open-pair sampler.
 
     A state is owned by one execution context while it is being stepped;
     once a run has finished, read-only queries are safe from anywhere.
@@ -162,7 +187,7 @@ class ProcessState:
         need = estimated_bytes(n)
         if limit is not None and need > limit:
             raise SizingError(
-                f"n={n} needs about {need} bytes for the pair store, "
+                f"n={n} needs about {need} bytes to run, "
                 f"more than the memory limit of {limit} bytes"
             )
         self.n = n
@@ -174,9 +199,9 @@ class ProcessState:
         full = (1 << n) - 1
         self._open_mask = [full ^ (1 << v) for v in range(n)]  # all OPEN
         self._adj_mask = [0] * n
-        self._open = list(range(total))
-        self._open_pos = self._open.copy()  # shares the int objects of _open
-        self._open_size = total
+        # lazy open-pair index: every OPEN rank once, plus stale ranks
+        self._open: range | array = range(total)
+        self._open_count = total
         self.adjacency: list[set[int]] = [set() for _ in range(n)]
         self.edge_log: list[tuple[int, int]] = []
         self._rng = random.Random(seed)
@@ -195,7 +220,7 @@ class ProcessState:
     @property
     def open_pairs(self) -> int:
         """Q(i), the number of open pairs."""
-        return self._open_size
+        return self._open_count
 
     @property
     def total_pairs(self) -> int:
@@ -214,7 +239,7 @@ class ProcessState:
     def __repr__(self) -> str:
         return (
             f"ProcessState(n={self.n}, steps={self.steps}, "
-            f"open={self._open_size})"
+            f"open={self._open_count})"
         )
 
     def _check_vertex(self, v: int) -> None:
@@ -256,44 +281,78 @@ class ProcessState:
     def step(self) -> StepResult | None:
         """Insert one uniformly random open pair.
 
-        Returns None when no open pair remains (saturation); that is the
-        normal terminal signal, not an error.
+        Draws uniform positions of the lazy index until one holds an OPEN
+        pair.  Returns None when no open pair remains (saturation); that is
+        the normal terminal signal, not an error.
         """
-        if self._open_size == 0:
+        if self._open_count == 0:
             return None
-        rank = self._open[self._rng.randrange(self._open_size)]
-        return self._insert(rank)
+        index = self._open
+        if len(index) > 2 * self._open_count + self.n:
+            index = self._compact()
+        size = len(index)
+        k = size.bit_length()
+        draw = self._rng.getrandbits
+        isqrt = math.isqrt
+        open_mask = self._open_mask
+        rowbase = self._rowbase
+        last = self._total - 1
+        top = self.n - 2
+        misses = 0
+        while size:
+            # randrange(size), written out: same stream, exact uniform draw
+            i = draw(k)
+            while i >= size:
+                i = draw(k)
+            rank = index[i]
+            u = top - ((isqrt(8 * (last - rank) + 1) - 1) >> 1)  # _unrank
+            v = rank - rowbase[u]
+            if open_mask[u] >> v & 1:
+                return self._insert(u, v)
+            misses += 1
+            if misses > size:
+                # Q promised an open pair the index keeps missing; the masks
+                # are the truth, and an empty rebuild means there is none
+                index = self._compact()
+                size = len(index)
+                k = size.bit_length()
+                misses = 0
+        return None
 
     def force_step(self, u: int, v: int) -> StepResult:
         """Insert a specific open pair, bypassing the random draw.
 
         Intended for building test fixtures; the pair must be open.
         """
-        rank = self._rank(u, v)
+        self._rank(u, v)
         status = self._stored_status(u, v)
         if status != PairStatus.OPEN:
             raise ValueError(f"pair ({u}, {v}) is {status.name}, not OPEN")
-        return self._insert(rank)
+        # the pair stays in the lazy index, where it is now stale
+        return self._insert(min(u, v), max(u, v))
 
-    def _insert(self, rank: int) -> StepResult:
-        u, v = self._unrank(rank)
+    def _compact(self) -> array:
+        """Rebuild the lazy index as exactly the OPEN ranks, read from the masks."""
+        index = array(index_typecode(self._total))
+        append = index.append
+        rowbase = self._rowbase
+        for u, row in enumerate(self._open_mask):
+            row >>= u + 1  # the pairs {u, w} with w > u
+            base = rowbase[u] + u + 1
+            while row:
+                w = row.bit_length() - 1
+                row ^= 1 << w
+                append(base + w)
+        self._open = index
+        return index
+
+    def _insert(self, u: int, v: int) -> StepResult:
+        """Turn the OPEN pair {u, v}, u < v, into an EDGE; the index is untouched."""
         if self._frozen is not None:
-            self._frozen[rank] = frozenset(self.partial_set(u, v))
+            self._frozen[self._rowbase[u] + v] = frozenset(self.partial_set(u, v))
 
         open_mask = self._open_mask
         adj_mask = self._adj_mask
-        open_list = self._open
-        open_pos = self._open_pos
-        rowbase = self._rowbase
-        size = self._open_size
-
-        # chosen pair leaves the open set and becomes an edge
-        size -= 1
-        pos = open_pos[rank]
-        last = open_list[size]
-        open_list[pos] = last
-        open_pos[last] = pos
-        open_pos[rank] = -1
         bit_u = 1 << u
         bit_v = 1 << v
 
@@ -301,6 +360,7 @@ class ProcessState:
         # neighbour u, and symmetrically for {u, w}; those pairs close now
         close_v = adj_mask[u] & open_mask[v]
         close_u = adj_mask[v] & open_mask[u]
+        self._open_count -= 1 + close_v.bit_count() + close_u.bit_count()
         open_mask[v] ^= close_v | bit_u
         open_mask[u] ^= close_u | bit_v
         adj_mask[u] |= bit_v
@@ -310,30 +370,13 @@ class ProcessState:
             w = close_v.bit_length() - 1
             close_v ^= 1 << w
             open_mask[w] ^= bit_v
-            a, b = (v, w) if v < w else (w, v)
-            r = rowbase[a] + b
-            size -= 1
-            p = open_pos[r]
-            last = open_list[size]
-            open_list[p] = last
-            open_pos[last] = p
-            open_pos[r] = -1
-            newly.append((a, b))
+            newly.append((v, w) if v < w else (w, v))
         while close_u:
             w = close_u.bit_length() - 1
             close_u ^= 1 << w
             open_mask[w] ^= bit_u
-            a, b = (u, w) if u < w else (w, u)
-            r = rowbase[a] + b
-            size -= 1
-            p = open_pos[r]
-            last = open_list[size]
-            open_list[p] = last
-            open_pos[last] = p
-            open_pos[r] = -1
-            newly.append((a, b))
+            newly.append((u, w) if u < w else (w, u))
 
-        self._open_size = size
         self.adjacency[u].add(v)
         self.adjacency[v].add(u)
         self.edge_log.append((u, v))
@@ -362,7 +405,7 @@ class ProcessState:
                 break
             if on_step is not None:
                 on_step(self, result)
-        return RunOutcome(self.steps, self._open_size, self._open_size == 0)
+        return RunOutcome(self.steps, self._open_count, self._open_count == 0)
 
     # ------------------------------------------------------------------
     # pair-local structure
@@ -447,22 +490,44 @@ class ProcessState:
                 f"({u}, {v}) is {status.name}; "
                 f"closure probability is defined for open pairs"
             )
-        return Fraction(self.partial_count(u, v), self._open_size)
+        return Fraction(self.partial_count(u, v), self._open_count)
 
     def sample_open_pairs(
         self, count: int, rng: random.Random
     ) -> list[tuple[int, int]]:
         """Uniformly sample distinct open pairs (all of them if count >= Q).
 
-        Uses the supplied RNG so measurement never perturbs the process
-        stream.
+        Visits index positions in a uniformly random order and keeps the
+        OPEN pairs it meets: every open pair sits at exactly one position,
+        so they arrive in a uniformly random order too.  Uses the supplied
+        RNG, and reads the index without rebuilding or reordering it, so
+        measurement never perturbs the process stream.
         """
-        size = self._open_size
-        if count >= size:
-            indices: range | list[int] = range(size)
-        else:
-            indices = rng.sample(range(size), count)
-        return [self._unrank(self._open[i]) for i in indices]
+        index = self._open
+        open_mask = self._open_mask
+        unrank = self._unrank
+        if count >= self._open_count:
+            pairs = map(unrank, index)
+            return [(u, v) for u, v in pairs if open_mask[u] >> v & 1]
+        length = len(index)
+        positions = rng.sample(range(length), min(count, length))
+        out = []
+        for i in positions:
+            u, v = unrank(index[i])
+            if open_mask[u] >> v & 1:
+                out.append((u, v))
+        if len(out) < count:
+            # continue the random order with fresh positions; the bound on
+            # `seen` ends the loop should the masks hold fewer than Q pairs
+            seen = set(positions)
+            while len(out) < count and len(seen) < length:
+                i = rng.randrange(length)
+                if i not in seen:
+                    seen.add(i)
+                    u, v = unrank(index[i])
+                    if open_mask[u] >> v & 1:
+                        out.append((u, v))
+        return out
 
     # ------------------------------------------------------------------
     # auditing
@@ -539,7 +604,7 @@ class ProcessState:
             edges_scanned=len(self.edge_log),
             triangles=tuple(triangles),
             open_count_consistent=(
-                sum(m.bit_count() for m in self._open_mask) == 2 * self._open_size
+                sum(m.bit_count() for m in self._open_mask) == 2 * self._open_count
             ),
         )
 

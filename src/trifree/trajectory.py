@@ -282,8 +282,13 @@ def take_checkpoint(
     rel_q = abs(q_obs / q_pred - 1.0) if q_pred > 0.0 else math.inf
     formal_q_ok = abs(q_obs - q_pred) <= q_env
 
-    pairs = state.sample_open_pairs(y_sample_count, rng)
-    y_samples = tuple(state.partial_count(u, v) for u, v in pairs)
+    # the sampled pairs are OPEN, so partial_count's checks are skipped
+    adj = state.edge_masks
+    opn = state.open_masks
+    y_samples = tuple(
+        (adj[u] & opn[v]).bit_count() + (adj[v] & opn[u]).bit_count()
+        for u, v in state.sample_open_pairs(y_sample_count, rng)
+    )
     y_pred = math.sqrt(n) * partial_vertex_curve(t)
     y_env = math.sqrt(n) * partial_vertex_envelope(t, n)
     if y_samples:

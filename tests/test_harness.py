@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from trifree import harness
 from trifree.cli import main
 from trifree.harness import (
     Horizon,
@@ -26,7 +27,7 @@ from trifree.harness import (
     write_sweep_files,
 )
 from trifree.patterns import FirstAppearanceTracker, cycle_pattern, pattern_text
-from trifree.process import PairStatus, Saturation, Steps
+from trifree.process import PairStatus, Saturation, SizingError, Steps, estimated_bytes
 from trifree.trajectory import CHECKPOINT_COLUMNS, step_horizon
 
 C4_FILE_TEXT = pattern_text(cycle_pattern(4))
@@ -158,17 +159,17 @@ def test_run_golden_outputs(tmp_path, capsys, c4_path):
         for name in ("edges.log", "checkpoints.csv")
     }
     assert digests == {
-        "edges.log": "8ba7282c98c0f3c0c9d40d20290fbee1d3142824b254bdfa2da741202012e220",
-        "checkpoints.csv": "2f1ddf29cf6b2ecf679374017f3d009f9e1982768b09b57fa23c37e53713b97e",
+        "edges.log": "0da49dfae9498f1541a42791bd4538dae80bbfc48b81d914568646b607c23e73",
+        "checkpoints.csv": "128a9c6364857b902d9f817c7ca94ef15ed4613df176ff801f25cd9094329ee8",
     }
     summary = json.loads((out / "summary.json").read_text())
     del summary["duration_seconds"], summary["checkpoint_path"]
     assert summary == {
-        "blocked_fraction_at_horizon": {"c4": 0.0819},
+        "blocked_fraction_at_horizon": {"c4": 0.0822},
         "blocking_window_start": 2009,
         "final_edge_count": 1548,
         "final_step": 1548,
-        "first_appearance": {"c4": 269},
+        "first_appearance": {"c4": 272},
         "horizon": 387,
         "n": 300,
         "saturated": False,
@@ -241,6 +242,22 @@ def test_sweep_parallel_matches_serial():
     parallel_rows, parallel_agg = sweep([12, 14], 2, template, jobs=2)
     assert serial_rows == parallel_rows
     assert serial_agg == parallel_agg
+
+
+def test_sweep_checks_memory_before_starting_workers(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(harness, "Pool", no_pool)
+    template = RunConfig(n=10, seed=1)
+    with pytest.raises(SizingError, match="n=1000000"):
+        sweep([10, 1_000_000], 1, template, jobs=2)
+    # the budget counts one largest run per concurrent worker
+    monkeypatch.setattr(harness, "physical_memory_bytes", lambda: 2 * estimated_bytes(12) - 1)
+    with pytest.raises(SizingError, match="2 concurrent"):
+        sweep([12], 3, template, jobs=2)
+    rows, _ = sweep([12], 3, template, jobs=1)
+    assert [r["status"] for r in rows] == ["ok"] * 3
 
 
 def test_write_sweep_files(tmp_path):

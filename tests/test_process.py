@@ -55,7 +55,7 @@ def test_new_process_rejects_single_vertex():
 
 
 def test_new_process_memory_guard():
-    # 10^6 vertices need about 2.4e13 bytes, beyond any machine's memory
+    # 10^6 vertices need about 2.8e12 bytes, beyond any machine's memory
     with pytest.raises(SizingError, match="memory limit"):
         new_process(1_000_000, seed=0)
     # the limit is in bytes, configurable, and the message names both numbers
@@ -301,6 +301,19 @@ def clear_open_bit(state, one_sided=False):
         state._open_mask[u] &= ~(1 << v)
 
 
+def test_run_returns_on_store_with_too_few_open_pairs():
+    # Q promises an open pair the masks no longer hold: stepping must end
+    # (the index is rebuilt from the masks) and the audit must say so
+    for n, steps in ((10, 5), (40, 100)):
+        state = new_process(n, seed=8)
+        state.run(Steps(steps))
+        clear_open_bit(state)
+        outcome = state.run(Saturation())
+        assert not outcome.saturated
+        assert outcome.open_pairs == 1
+        assert not state.audit(state.total_pairs).ok
+
+
 def test_audit_detects_corrupted_status():
     for one_sided in (False, True):
         state = new_process(10, seed=8)
@@ -377,6 +390,50 @@ def test_audit_sampling_subset():
     report = state.audit(17, rng=random.Random(1))
     assert report.pairs_checked == 17
     assert report.ok
+
+
+# ----------------------------------------------------------------------
+# open-pair sampling
+
+def stale_index_state():
+    """n = 8 with eight forced edges: the index is still range(28), and
+    most of its entries are no longer OPEN."""
+    state = new_process(8, seed=4)
+    for u, v in ((0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (1, 4), (6, 7), (2, 7)):
+        state.force_step(u, v)
+    assert state._open == range(state.total_pairs)
+    return state
+
+
+def test_sample_open_pairs_on_stale_index():
+    state = stale_index_state()
+    open_pairs = {p for p in all_pairs(8) if state.pair_status(*p) == PairStatus.OPEN}
+    q = state.open_pairs
+    assert len(open_pairs) == q < state.total_pairs // 2
+    rng = random.Random(3)
+    for count in range(q):
+        for _ in range(20):
+            sample = state.sample_open_pairs(count, rng)
+            assert len(sample) == count == len(set(sample))
+            assert set(sample) <= open_pairs
+    for count in (q, q + 1, 100):
+        sample = state.sample_open_pairs(count, rng)
+        assert len(sample) == q and set(sample) == open_pairs
+    assert state._open == range(state.total_pairs)  # read, never rebuilt
+
+
+def test_sample_open_pairs_is_uniform():
+    state = stale_index_state()
+    q = state.open_pairs
+    trials = 20_000
+    hits = {p: 0 for p in all_pairs(8) if state.pair_status(*p) == PairStatus.OPEN}
+    for seed in range(trials):
+        for pair in state.sample_open_pairs(2, random.Random(seed)):
+            hits[pair] += 1
+    p = 2 / q
+    sigma = (p * (1 - p) / trials) ** 0.5
+    for pair, count in hits.items():
+        assert abs(count / trials - p) <= 4 * sigma, pair
 
 
 # ----------------------------------------------------------------------
@@ -465,6 +522,20 @@ def test_full_run_invariants(n, seed):
             assert state.partial_count(a, b) == len(reference)
         assert counts[PairStatus.OPEN] == state.open_pairs
         assert counts[PairStatus.EDGE] == state.steps
+
+        # the lazy index holds every OPEN rank, and a rebuild exactly those
+        open_ranks = {
+            state._rank(a, b)
+            for a, b in combinations(range(n), 2)
+            if state.pair_status(a, b) == PairStatus.OPEN
+        }
+        index = state._open
+        assert {r for r in index if r in open_ranks} == open_ranks
+        assert len(set(index)) == len(index)
+        rebuilt = state._compact()
+        assert sorted(rebuilt) == sorted(open_ranks)
+        assert len(rebuilt) == state.open_pairs
+        state._open = index  # keep the run's own index, stale entries and all
 
         # closed pairs are monotone: nothing ever leaves the closed set
         assert closed_before <= closed_now

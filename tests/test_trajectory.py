@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trifree.patterns import blocked_placements, cycle_pattern
 from trifree.process import ProcessState, Saturation
 from trifree.trajectory import (
     CHECKPOINT_COLUMNS,
@@ -312,15 +313,24 @@ def test_checkpoint_row_shape():
 
 
 def test_measurement_rng_does_not_touch_process_stream():
+    # every reader runs on a at every step, through the steps where the
+    # checkpoint's 50 samples cover all Q open pairs; none may rebuild or
+    # reorder the lazy open-pair index
     a = ProcessState(30, seed=9)
     b = ProcessState(30, seed=9)
     params = TrajectoryParams(30)
     rng = random.Random(1)
-    for _ in range(10):
-        a.step()
+    pattern = cycle_pattern(4)
+    all_open_checkpoints = 0
+    while a.step() is not None:
         b.step()
+        all_open_checkpoints += a.open_pairs <= 50
         take_checkpoint(a, params, 50, rng)  # only a is measured
-    a.run(Saturation())
+        a.audit(100, rng)
+        blocked_placements(a, pattern, 20, rng)
+        for u, v in a.sample_open_pairs(3, rng):
+            a.partial_set(u, v)
+    assert all_open_checkpoints > 0
     b.run(Saturation())
     assert a.edge_log == b.edge_log
 
