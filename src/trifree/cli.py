@@ -92,11 +92,6 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
         help="random placements classified at the horizon per pattern",
     )
     parser.add_argument(
-        "--record-frozen-y",
-        action="store_true",
-        help="record each edge's partial set at insertion time",
-    )
-    parser.add_argument(
         "--out", default="trifree_out", metavar="DIR", help="output directory"
     )
 
@@ -157,7 +152,6 @@ def _do_run(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         y_sample_count=args.y_samples,
         patterns=tuple(args.pattern),
-        record_frozen_y=args.record_frozen_y,
         placement_samples=args.placement_samples,
         pattern_until_horizon=args.pattern_until_horizon,
     )

@@ -119,7 +119,6 @@ class RunConfig:
     checkpoint_every: int | None = None  # None: ceil(m / 50)
     y_sample_count: int = DEFAULT_Y_SAMPLES
     patterns: tuple[str, ...] = ()  # pattern file paths
-    record_frozen_y: bool = False
     placement_samples: int = DEFAULT_PLACEMENT_SAMPLES
     pattern_until_horizon: bool = False
 
@@ -230,7 +229,7 @@ def run_simulation(
     started = time.perf_counter()
     params = TrajectoryParams(config.n)
     horizon = params.horizon
-    state = ProcessState(config.n, config.seed, record_frozen_y=config.record_frozen_y)
+    state = ProcessState(config.n, config.seed)
     rng = measurement_rng(config.seed)
 
     if trackers is None:
@@ -277,7 +276,7 @@ def run_simulation(
         stop=stop_label(config.stop),
         final_step=outcome.steps,
         saturated=outcome.saturated,
-        final_edge_count=len(state.edge_log),
+        final_edge_count=state.steps,
         horizon=horizon,
         blocking_window_start=math.ceil(config.n ** (4 / 3)),
         first_appearance={t.pattern.label: t.first_step for t in trackers},
@@ -301,7 +300,7 @@ def write_checkpoints_csv(path: Path, checkpoints: list[Checkpoint]) -> None:
             writer.writerow(checkpoint_row(cp))
 
 
-def write_edge_log(path: Path, edge_log: list[tuple[int, int]]) -> None:
+def write_edge_log(path: Path, edge_log: tuple[tuple[int, int], ...]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for step, (u, v) in enumerate(edge_log, start=1):
             fh.write(f"{step} {u} {v}\n")
@@ -524,7 +523,7 @@ def audit_run(
     params = TrajectoryParams(config.n)
     horizon = params.horizon
     cadence = config.checkpoint_every or default_cadence(horizon)
-    state = ProcessState(config.n, config.seed, record_frozen_y=config.record_frozen_y)
+    state = ProcessState(config.n, config.seed)
     failures: list[tuple[int, AuditReport]] = []
     audits = 0
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .process import ProcessState, edge_rows
+from .process import ProcessState
 
 DEFAULT_MAX_PATTERN_VERTICES = 12
 EXACT_SUBSET_GUARD = 10_000_000
@@ -262,31 +262,30 @@ def _search(
     return found
 
 
-def find_copy(
-    gadj: list[set[int]], pattern: Pattern
-) -> tuple[int, ...] | None:
+def find_copy(rows: list[int], pattern: Pattern) -> tuple[int, ...] | None:
     """An injective placement realising every pattern edge, or None.
 
-    Patterns larger than the graph simply have no copy.
+    `rows` are the graph's edge rows.  Patterns larger than the graph
+    simply have no copy.
     """
-    if pattern.k > len(gadj):
+    if pattern.k > len(rows):
         return None
     order = _build_order(pattern, anchored=None)
     witness: list[dict[int, int]] = []
-    if _search(edge_rows(gadj), order, 0, {}, 0, 1, witness):
+    if _search(rows, order, 0, {}, 0, 1, witness):
         mapping = witness[0]
         return tuple(mapping[a] for a in range(pattern.k))
     return None
 
 
-def count_copies(gadj: list[set[int]], pattern: Pattern, cap: int) -> int:
+def count_copies(rows: list[int], pattern: Pattern, cap: int) -> int:
     """Exact count of labelled copies (injective placements), capped."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if pattern.k > len(gadj):
+    if pattern.k > len(rows):
         return 0
     order = _build_order(pattern, anchored=None)
-    return _search(edge_rows(gadj), order, 0, {}, 0, cap, [])
+    return _search(rows, order, 0, {}, 0, cap, [])
 
 
 # ----------------------------------------------------------------------
@@ -404,31 +403,35 @@ class KSubsetResult:
     exact: bool
 
 
-def _spanned_edges(gadj: list[set[int]], vertices: tuple[int, ...]) -> int:
-    total = 0
-    for i, a in enumerate(vertices):
-        ga = gadj[a]
-        for b in vertices[i + 1 :]:
-            if b in ga:
-                total += 1
-    return total
+def _mask(vertices) -> int:
+    """The row with exactly the bits of `vertices` set."""
+    row = 0
+    for a in vertices:
+        row |= 1 << a
+    return row
+
+
+def _spanned_edges(rows: list[int], vertices: tuple[int, ...]) -> int:
+    inside = _mask(vertices)
+    return sum((rows[a] & inside).bit_count() for a in vertices) // 2
 
 
 def max_edges_k_subset(
-    gadj: list[set[int]],
+    rows: list[int],
     k: int,
     mode: str = "exact",
     restarts: int = 100,
     rng: random.Random | None = None,
     exact_guard: int = EXACT_SUBSET_GUARD,
 ) -> KSubsetResult:
-    """Maximum number of edges spanned by any k-subset of vertices.
+    """Maximum number of edges spanned by any k-subset of the graph with
+    edge rows `rows`.
 
     "exact" enumerates all C(n, k) subsets (guarded); "local" runs
     randomized hill-climbing with vertex swaps and returns a lower bound
     with exact=False.
     """
-    n = len(gadj)
+    n = len(rows)
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
 
@@ -441,7 +444,7 @@ def max_edges_k_subset(
         best = -1
         best_w: tuple[int, ...] = ()
         for w in itertools.combinations(range(n), k):
-            e = _spanned_edges(gadj, w)
+            e = _spanned_edges(rows, w)
             if e > best:
                 best, best_w = e, w
         return KSubsetResult(edges=best, vertices=best_w, exact=True)
@@ -452,15 +455,13 @@ def max_edges_k_subset(
     if rng is None:
         rng = random.Random(0x5EA7)
     top_candidates = 16
-    by_degree = sorted(range(n), key=lambda v: len(gadj[v]), reverse=True)
+    by_degree = sorted(range(n), key=lambda v: rows[v].bit_count(), reverse=True)
     best = -1
     best_w = ()
     for restart in range(restarts):
         members = set(by_degree[:k]) if restart == 0 else set(rng.sample(range(n), k))
-        cnt = [0] * n
-        for w in members:
-            for y in gadj[w]:
-                cnt[y] += 1
+        inside = _mask(members)
+        cnt = [(row & inside).bit_count() for row in rows]  # member neighbours
         edges = sum(cnt[w] for w in members) // 2
         while True:
             outs = heapq.nlargest(
@@ -473,39 +474,42 @@ def max_edges_k_subset(
             for w in members:
                 cw = cnt[w]
                 for x in outs:
-                    gain = cnt[x] - cw - (1 if x in gadj[w] else 0)
+                    gain = cnt[x] - cw
                     if gain > best_gain:
-                        best_gain, move = gain, (w, x)
+                        gain -= rows[w] >> x & 1  # the edge wx, if any, is lost
+                        if gain > best_gain:
+                            best_gain, move = gain, (w, x)
             if move is None:
                 break
             w, x = move
             members.discard(w)
             members.add(x)
-            for y in gadj[w]:
-                cnt[y] -= 1
-            for y in gadj[x]:
-                cnt[y] += 1
+            for row, change in ((rows[w], -1), (rows[x], 1)):
+                while row:
+                    y = row.bit_length() - 1
+                    row ^= 1 << y
+                    cnt[y] += change
             edges += best_gain
         if edges > best:
             candidate = tuple(sorted(members))
             # certificate is authoritative; recount defensively
-            best = _spanned_edges(gadj, candidate)
+            best = _spanned_edges(rows, candidate)
             best_w = candidate
     return KSubsetResult(edges=best, vertices=best_w, exact=False)
 
 
 def heavy_neighbors(
-    gadj: list[set[int]], subset: set[int] | frozenset[int], threshold: int = 6
+    rows: list[int], subset: set[int] | frozenset[int], threshold: int = 6
 ) -> set[int]:
     """Vertices outside the subset with more than `threshold` neighbours in it."""
     if not subset:
         raise ValueError("subset must be nonempty")
-    counts: dict[int, int] = {}
-    for w in subset:
-        for y in gadj[w]:
-            if y not in subset:
-                counts[y] = counts.get(y, 0) + 1
-    return {v for v, c in counts.items() if c > threshold}
+    inside = _mask(subset)
+    return {
+        y
+        for y, row in enumerate(rows)
+        if not inside >> y & 1 and (row & inside).bit_count() > threshold
+    }
 
 
 # ----------------------------------------------------------------------

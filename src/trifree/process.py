@@ -30,6 +30,11 @@ exact.  Insertions never touch the index.  It starts as `range(total)`
 and is rebuilt from the masks, as a compact `array` of exactly the OPEN
 ranks, once it holds more than 2Q + n entries; that costs O(n + Q) and
 keeps the expected draws per step below 2 + n/Q.
+
+The masks, the lazy index, the edge log and the RNG are the whole state.
+The edge log is two `array` columns of endpoints, 2 bytes each while
+n <= 65536.  A step's closed pairs are kept as its two close masks and
+decoded only when read.
 """
 
 from __future__ import annotations
@@ -44,10 +49,11 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 from typing import Callable
 
-# Bytes per inserted edge: two adjacency-set entries and an edge-log
-# tuple.  A tracemalloc run to saturation at n = 2000 measured 281 (the
-# sets' tables are 512 entries at degree ~100) and a peak of 30.2 MB.
-BYTES_PER_EDGE = 300
+# Bytes per inserted edge: the edge log's two columns and the growth of
+# the edge rows.  tracemalloc runs to saturation at n = 300 to 2000 left
+# 11 B per edge at the end; 16 covers the state's fixed overhead at
+# small n.  The peak at n = 2000 is 7.7 MB, at the index's second rebuild.
+BYTES_PER_EDGE = 16
 # c(n) = final edges / (n^(3/2) sqrt(ln n)) reads 0.40-0.50 for
 # 30 <= n <= 4000 and tends to 1/(2 sqrt 2) ~ 0.354
 EDGE_COUNT_BOUND = 0.5
@@ -66,13 +72,14 @@ def index_typecode(total: int) -> str:
 def estimated_bytes(n: int) -> int:
     """Peak memory of a ProcessState(n) run to saturation, in bytes.
 
-    The index peaks at its first rebuild, with at most half the pairs;
+    The index peaks at its second rebuild, which holds the old array of
+    at most half the pairs and the new one of at most a quarter at once;
     the masks take n^2/4 bytes; the edges take BYTES_PER_EDGE each.
     """
     if n < 2:
         return 0
     total = n * (n - 1) // 2
-    index = array(index_typecode(total)).itemsize * total // 2
+    index = array(index_typecode(total)).itemsize * total * 3 // 4
     edges = EDGE_COUNT_BOUND * n * math.sqrt(n * math.log(n))
     return index + n * n // 4 + int(BYTES_PER_EDGE * edges)
 
@@ -109,10 +116,24 @@ class VertexClass(Enum):
 
 @dataclass(frozen=True)
 class StepResult:
-    """One insertion: the chosen pair and every pair it closed."""
+    """One insertion: the chosen pair {u, v}, u < v, and the pairs it closed,
+    as the masks of the w with {v, w} closed and with {u, w} closed."""
 
     chosen: tuple[int, int]
-    newly_closed: tuple[tuple[int, int], ...]
+    close_v: int
+    close_u: int
+
+    @property
+    def newly_closed(self) -> tuple[tuple[int, int], ...]:
+        """The closed pairs: v's with w descending, then u's."""
+        u, v = self.chosen
+        pairs = []
+        for x, bits in ((v, self.close_v), (u, self.close_u)):
+            while bits:
+                w = bits.bit_length() - 1
+                bits ^= 1 << w
+                pairs.append((x, w) if x < w else (w, x))
+        return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -164,7 +185,8 @@ class AuditReport:
 
 
 class ProcessState:
-    """The evolving graph plus exact pair statuses and a lazy open-pair sampler.
+    """The evolving graph: pair-status masks, a lazy open-pair index, the
+    edge log and the process RNG.
 
     A state is owned by one execution context while it is being stepped;
     once a run has finished, read-only queries are safe from anywhere.
@@ -177,7 +199,6 @@ class ProcessState:
         n: int,
         seed: int,
         *,
-        record_frozen_y: bool = False,
         memory_limit: int | None = None,
     ) -> None:
         """`memory_limit` is in bytes; None means this machine's physical memory."""
@@ -202,12 +223,11 @@ class ProcessState:
         # lazy open-pair index: every OPEN rank once, plus stale ranks
         self._open: range | array = range(total)
         self._open_count = total
-        self.adjacency: list[set[int]] = [set() for _ in range(n)]
-        self.edge_log: list[tuple[int, int]] = []
+        # edge i (0-based) is {_log_u[i], _log_v[i]}, _log_u[i] < _log_v[i]
+        vertex = "H" if n <= 2**16 else "I"  # 2-byte vertices while they fit
+        self._log_u = array(vertex)
+        self._log_v = array(vertex)
         self._rng = random.Random(seed)
-        self._frozen: dict[int, frozenset[int]] | None = (
-            {} if record_frozen_y else None
-        )
 
     # ------------------------------------------------------------------
     # basic queries
@@ -215,7 +235,15 @@ class ProcessState:
     @property
     def steps(self) -> int:
         """Number of edges inserted so far."""
-        return len(self.edge_log)
+        return len(self._log_u)
+
+    @property
+    def edge_log(self) -> tuple[tuple[int, int], ...]:
+        """The inserted edges (u, v), u < v, in insertion order; a copy."""
+        # through a list, which knows its length: tuple(zip(...)) guesses
+        # 10 slots and shrinks, and for short logs the shrunk tuples pile
+        # up in CPython's small-tuple free lists (0.3 MB over tiny runs)
+        return tuple(list(zip(self._log_u, self._log_v)))
 
     @property
     def open_pairs(self) -> int:
@@ -348,9 +376,6 @@ class ProcessState:
 
     def _insert(self, u: int, v: int) -> StepResult:
         """Turn the OPEN pair {u, v}, u < v, into an EDGE; the index is untouched."""
-        if self._frozen is not None:
-            self._frozen[self._rowbase[u] + v] = frozenset(self.partial_set(u, v))
-
         open_mask = self._open_mask
         adj_mask = self._adj_mask
         bit_u = 1 << u
@@ -365,22 +390,19 @@ class ProcessState:
         open_mask[u] ^= close_u | bit_v
         adj_mask[u] |= bit_v
         adj_mask[v] |= bit_u
-        newly: list[tuple[int, int]] = []
+        result = StepResult((u, v), close_v, close_u)
         while close_v:
             w = close_v.bit_length() - 1
             close_v ^= 1 << w
             open_mask[w] ^= bit_v
-            newly.append((v, w) if v < w else (w, v))
         while close_u:
             w = close_u.bit_length() - 1
             close_u ^= 1 << w
             open_mask[w] ^= bit_u
-            newly.append((u, w) if u < w else (w, u))
 
-        self.adjacency[u].add(v)
-        self.adjacency[v].add(u)
-        self.edge_log.append((u, v))
-        return StepResult(chosen=(u, v), newly_closed=tuple(newly))
+        self._log_u.append(u)
+        self._log_v.append(v)
+        return result
 
     def run(
         self,
@@ -438,8 +460,8 @@ class ProcessState:
         self._rank(u, v)
         if self._adj_mask[u] >> v & 1:
             raise ValueError(
-                f"({u}, {v}) is an edge; use frozen_partial_set for the "
-                f"set recorded at insertion time"
+                f"({u}, {v}) is an edge; partial vertices are defined for "
+                f"non-edge pairs only"
             )
         adj_mask = self._adj_mask
         open_mask = self._open_mask
@@ -464,19 +486,6 @@ class ProcessState:
         """|partial_set(u, v)|, as two popcounts."""
         via_u, via_v = self._partial_masks(u, v)
         return via_u.bit_count() + via_v.bit_count()
-
-    def frozen_partial_set(self, u: int, v: int) -> frozenset[int] | None:
-        """Partial set of an edge, as recorded just before its insertion.
-
-        Returns None when the state was created without recording
-        enabled.  Raises for pairs that were never inserted.
-        """
-        rank = self._rank(u, v)
-        if not self._adj_mask[u] >> v & 1:
-            raise ValueError(f"({u}, {v}) was never inserted")
-        if self._frozen is None:
-            return None
-        return self._frozen[rank]
 
     def closure_probability_estimate(self, u: int, v: int) -> Fraction:
         """Probability that the next step closes the open pair {u, v}.
@@ -536,17 +545,18 @@ class ProcessState:
         """Recompute ground truth and compare against the stored state.
 
         Checks `sample_size` random pairs (all pairs if the sample covers
-        the store) against statuses recomputed from adjacency alone, and
-        scans every edge for a common endpoint neighbour (a triangle).
-        The ground truth is built as rows: a non-edge {v, w} is CLOSED iff
-        w is in the OR of the edge rows of v's neighbours.  A pair whose
-        stored row disagrees with the truth under either endpoint is
-        suspect, and only suspect pairs in the sample are compared one by
-        one, so a full audit costs O(n + edges) mask operations.
+        the store) against statuses recomputed from the edge log alone,
+        and scans every logged edge for a common endpoint neighbour (a
+        triangle).  The ground truth is built as rows from the log, never
+        from the masks: a non-edge {v, w} is CLOSED iff w is in the OR of
+        the edge rows of v's neighbours.  A pair whose stored row
+        disagrees with the truth under either endpoint is suspect, and
+        only suspect pairs in the sample are compared one by one, so a
+        full audit costs O(n + edges) mask operations.
         """
         if rng is None:
             rng = random.Random(0xA0D17)
-        adj = self.adjacency
+        n = self.n
         total = self._total
         if sample_size >= total:
             ranks: range | list[int] = range(total)
@@ -555,18 +565,29 @@ class ProcessState:
             ranks = rng.sample(range(total), sample_size)
             checked = sample_size
 
+        log_u, log_v = self._log_u, self._log_v
+        truth = [0] * n
+        for u, v in zip(log_u, log_v):
+            truth[u] |= 1 << v
+            truth[v] |= 1 << u
+        reach = [0] * n
+        triangles: list[tuple[int, int, int]] = []
+        for u, v in zip(log_u, log_v):
+            reach[u] |= truth[v]
+            reach[v] |= truth[u]
+            common = truth[u] & truth[v]
+            if common:
+                triangles.append((u, v, (common & -common).bit_length() - 1))
+
         open_mask = self._open_mask
         adj_mask = self._adj_mask
         rowbase = self._rowbase
-        truth_edge = edge_rows(adj)
-        full = (1 << self.n) - 1
+        full = (1 << n) - 1
         suspect: set[int] = set()
-        for v, edge in enumerate(truth_edge):
-            reach = 0
-            for x in adj[v]:
-                reach |= truth_edge[x]
+        for v in range(n):
+            edge = truth[v]
             others = full ^ (1 << v)
-            truth_open = others & ~(edge | reach)
+            truth_open = others & ~(edge | reach[v])
             wrong = ((open_mask[v] ^ truth_open) | (adj_mask[v] ^ edge)) & others
             while wrong:
                 w = wrong.bit_length() - 1
@@ -581,9 +602,9 @@ class ProcessState:
         discrepancies: list[tuple[int, int, PairStatus, PairStatus]] = []
         for r in hits:
             u, v = self._unrank(r)
-            if v in adj[u]:
+            if truth[u] >> v & 1:
                 actual, bits = PairStatus.EDGE, (0, 1)
-            elif not adj[u].isdisjoint(adj[v]):
+            elif truth[u] & truth[v]:
                 actual, bits = PairStatus.CLOSED, (0, 0)
             else:
                 actual, bits = PairStatus.OPEN, (1, 0)
@@ -592,16 +613,10 @@ class ProcessState:
             elif (open_mask[v] >> u & 1, adj_mask[v] >> u & 1) != bits:
                 discrepancies.append((u, v, self._stored_status(v, u), actual))
 
-        triangles: list[tuple[int, int, int]] = []
-        for u, v in self.edge_log:
-            common = adj[u] & adj[v]
-            if common:
-                triangles.append((u, v, min(common)))
-
         return AuditReport(
             pairs_checked=checked,
             discrepancies=tuple(discrepancies),
-            edges_scanned=len(self.edge_log),
+            edges_scanned=len(log_u),
             triangles=tuple(triangles),
             open_count_consistent=(
                 sum(m.bit_count() for m in self._open_mask) == 2 * self._open_count
@@ -609,25 +624,11 @@ class ProcessState:
         )
 
 
-def edge_rows(adjacency: list[set[int]]) -> list[int]:
-    """Adjacency sets as bitmask rows: bit w of row v is set iff w in adjacency[v]."""
-    rows = []
-    for nbrs in adjacency:
-        row = 0
-        for w in nbrs:
-            row |= 1 << w
-        rows.append(row)
-    return rows
-
-
 def new_process(
     n: int,
     seed: int,
     *,
-    record_frozen_y: bool = False,
     memory_limit: int | None = None,
 ) -> ProcessState:
     """Create a fresh process: step 0, empty graph, every pair open."""
-    return ProcessState(
-        n, seed, record_frozen_y=record_frozen_y, memory_limit=memory_limit
-    )
+    return ProcessState(n, seed, memory_limit=memory_limit)

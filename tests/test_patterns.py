@@ -40,30 +40,32 @@ C4_TEXT = """\
 """
 
 
-def adjacency_from_edges(n, edges):
-    adj = [set() for _ in range(n)]
+def rows_from_edges(n, edges):
+    """Edge rows of the graph on n vertices: bit v of row u set iff {u, v}
+    is an edge, as in `ProcessState.edge_masks`."""
+    rows = [0] * n
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
 
 
-def brute_force_copy_count(adj, pattern):
+def brute_force_copy_count(rows, pattern):
     """Oracle: try every injective assignment of pattern vertices."""
-    n = len(adj)
+    n = len(rows)
     count = 0
     for image in itertools.permutations(range(n), pattern.k):
-        if all(image[b] in adj[image[a]] for a, b in pattern.edges):
+        if all(rows[image[a]] >> image[b] & 1 for a, b in pattern.edges):
             count += 1
     return count
 
 
-def brute_force_max_k_subset(adj, k):
+def brute_force_max_k_subset(rows, k):
     """Oracle: enumerate all k-subsets directly."""
     best = -1
-    for subset in itertools.combinations(range(len(adj)), k):
+    for subset in itertools.combinations(range(len(rows)), k):
         edges = sum(
-            1 for a, b in itertools.combinations(subset, 2) if b in adj[a]
+            1 for a, b in itertools.combinations(subset, 2) if rows[a] >> b & 1
         )
         best = max(best, edges)
     return best
@@ -141,54 +143,54 @@ def test_cycle_pattern_rejects_triangle():
 # copy search
 
 def test_find_copy_single_edge():
-    adj = adjacency_from_edges(5, [(2, 4)])
-    mapping = find_copy(adj, single_edge_pattern())
+    rows = rows_from_edges(5, [(2, 4)])
+    mapping = find_copy(rows, single_edge_pattern())
     assert mapping is not None
     assert set(mapping) == {2, 4}
 
 
 def test_find_copy_c4_in_k22():
-    adj = adjacency_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    mapping = find_copy(adj, cycle_pattern(4))
+    rows = rows_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    mapping = find_copy(rows, cycle_pattern(4))
     assert mapping is not None
     pattern = cycle_pattern(4)
-    assert all(mapping[b] in adj[mapping[a]] for a, b in pattern.edges)
+    assert all(rows[mapping[a]] >> mapping[b] & 1 for a, b in pattern.edges)
 
 
 def test_find_copy_pattern_larger_than_graph():
-    adj = adjacency_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert find_copy(adj, cycle_pattern(5)) is None
+    rows = rows_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert find_copy(rows, cycle_pattern(5)) is None
 
 
 def test_find_copy_non_induced():
     # C4 sits inside K4 even though the K4 has chords
-    adj = adjacency_from_edges(4, list(itertools.combinations(range(4), 2)))
-    assert find_copy(adj, cycle_pattern(4)) is not None
+    rows = rows_from_edges(4, list(itertools.combinations(range(4), 2)))
+    assert find_copy(rows, cycle_pattern(4)) is not None
 
 
 def test_count_copies_single_edge_is_twice_edge_count():
     edges = [(0, 1), (1, 2), (3, 4), (0, 4)]
-    adj = adjacency_from_edges(5, edges)
-    assert count_copies(adj, single_edge_pattern(), cap=10**6) == 2 * len(edges)
+    rows = rows_from_edges(5, edges)
+    assert count_copies(rows, single_edge_pattern(), cap=10**6) == 2 * len(edges)
 
 
 def test_count_copies_c4_in_k22_is_eight():
-    adj = adjacency_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    rows = rows_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     pattern = cycle_pattern(4)
-    assert count_copies(adj, pattern, cap=10**6) == 8
-    assert brute_force_copy_count(adj, pattern) == 8
+    assert count_copies(rows, pattern, cap=10**6) == 8
+    assert brute_force_copy_count(rows, pattern) == 8
 
 
 def test_count_copies_empty_graph():
-    adj = adjacency_from_edges(6, [])
-    assert count_copies(adj, cycle_pattern(4), cap=10) == 0
+    rows = rows_from_edges(6, [])
+    assert count_copies(rows, cycle_pattern(4), cap=10) == 0
 
 
 def test_count_copies_cap():
-    adj = adjacency_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    assert count_copies(adj, cycle_pattern(4), cap=3) == 3
+    rows = rows_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    assert count_copies(rows, cycle_pattern(4), cap=3) == 3
     with pytest.raises(ValueError):
-        count_copies(adj, cycle_pattern(4), cap=0)
+        count_copies(rows, cycle_pattern(4), cap=0)
 
 
 def test_count_matches_brute_force_on_random_graphs():
@@ -197,11 +199,11 @@ def test_count_matches_brute_force_on_random_graphs():
     for _ in range(20):
         n = rng.randint(4, 7)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
-        adj = adjacency_from_edges(n, edges)
+        rows = rows_from_edges(n, edges)
         for pattern in patterns:
-            expected = brute_force_copy_count(adj, pattern)
-            assert count_copies(adj, pattern, cap=10**6) == expected
-            assert (find_copy(adj, pattern) is None) == (expected == 0)
+            expected = brute_force_copy_count(rows, pattern)
+            assert count_copies(rows, pattern, cap=10**6) == expected
+            assert (find_copy(rows, pattern) is None) == (expected == 0)
 
 
 # ----------------------------------------------------------------------
@@ -244,13 +246,15 @@ def test_tracker_matches_from_scratch_search():
         state = ProcessState(n, seed=seed)
         trackers = [FirstAppearanceTracker(p) for p in patterns]
         expected: dict[str, int | None] = {p.label: None for p in patterns}
+        rows = [0] * n  # the graph rebuilt from the chosen pairs alone
         while (result := state.step()) is not None:
+            u, v = result.chosen
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
             for tracker in trackers:
-                tracker.offer(state.edge_masks, *result.chosen, state.steps)
+                tracker.offer(state.edge_masks, u, v, state.steps)
             for pattern in patterns:
-                if expected[pattern.label] is None and find_copy(
-                    state.adjacency, pattern
-                ):
+                if expected[pattern.label] is None and find_copy(rows, pattern):
                     expected[pattern.label] = state.steps
         for tracker in trackers:
             assert tracker.first_step == expected[tracker.pattern.label]
@@ -274,25 +278,26 @@ def test_tracker_witness_is_a_copy():
     assert tracker.first_step is not None
     mapping = tracker.witness
     assert len(set(mapping)) == pattern.k
-    assert all(mapping[b] in state.adjacency[mapping[a]] for a, b in pattern.edges)
+    rows = rows_from_edges(state.n, state.edge_log)
+    assert all(rows[mapping[a]] >> mapping[b] & 1 for a, b in pattern.edges)
 
 
 # ----------------------------------------------------------------------
 # k-subset density
 
 def test_max_edges_empty_graph():
-    adj = adjacency_from_edges(6, [])
-    assert max_edges_k_subset(adj, 3).edges == 0
+    rows = rows_from_edges(6, [])
+    assert max_edges_k_subset(rows, 3).edges == 0
 
 
 def test_max_edges_k23_and_star():
     # K_{2,3}: best 4 of 5 vertices span 4 edges
-    k23 = adjacency_from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+    k23 = rows_from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     result = max_edges_k_subset(k23, 4)
     assert result.exact
     assert result.edges == 4 == brute_force_max_k_subset(k23, 4)
     # star K_{1,4}: any 3 vertices span at most 2 edges
-    star = adjacency_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    star = rows_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     result = max_edges_k_subset(star, 3)
     assert result.edges == 2 == brute_force_max_k_subset(star, 3)
 
@@ -301,13 +306,13 @@ def test_max_edges_certificate_is_consistent():
     rng = random.Random(3)
     for _ in range(10):
         edges = [e for e in itertools.combinations(range(9), 2) if rng.random() < 0.3]
-        adj = adjacency_from_edges(9, edges)
+        rows = rows_from_edges(9, edges)
         for mode in ("exact", "local"):
-            result = max_edges_k_subset(adj, 4, mode=mode, rng=random.Random(5))
+            result = max_edges_k_subset(rows, 4, mode=mode, rng=random.Random(5))
             spanned = sum(
                 1
                 for a, b in itertools.combinations(result.vertices, 2)
-                if b in adj[a]
+                if rows[a] >> b & 1
             )
             assert spanned == result.edges
             assert len(result.vertices) == 4
@@ -317,39 +322,39 @@ def test_local_search_never_beats_exact():
     rng = random.Random(9)
     for trial in range(10):
         edges = [e for e in itertools.combinations(range(12), 2) if rng.random() < 0.35]
-        adj = adjacency_from_edges(12, edges)
-        exact = max_edges_k_subset(adj, 5, mode="exact")
+        rows = rows_from_edges(12, edges)
+        exact = max_edges_k_subset(rows, 5, mode="exact")
         local = max_edges_k_subset(
-            adj, 5, mode="local", restarts=30, rng=random.Random(trial)
+            rows, 5, mode="local", restarts=30, rng=random.Random(trial)
         )
         assert not local.exact
         assert local.edges <= exact.edges
 
 
 def test_exact_guard_points_at_local_search():
-    adj = adjacency_from_edges(40, [(0, 1)])
+    rows = rows_from_edges(40, [(0, 1)])
     with pytest.raises(ValueError, match="local"):
-        max_edges_k_subset(adj, 20, mode="exact", exact_guard=1000)
+        max_edges_k_subset(rows, 20, mode="exact", exact_guard=1000)
 
 
 def test_max_edges_argument_errors():
-    adj = adjacency_from_edges(5, [(0, 1)])
+    rows = rows_from_edges(5, [(0, 1)])
     with pytest.raises(ValueError):
-        max_edges_k_subset(adj, 1)
+        max_edges_k_subset(rows, 1)
     with pytest.raises(ValueError):
-        max_edges_k_subset(adj, 6)
+        max_edges_k_subset(rows, 6)
     with pytest.raises(ValueError):
-        max_edges_k_subset(adj, 3, mode="noexact")
+        max_edges_k_subset(rows, 3, mode="noexact")
 
 
 # ----------------------------------------------------------------------
 # heavy neighbours
 
 def test_heavy_neighbors_cases():
-    empty = adjacency_from_edges(8, [])
+    empty = rows_from_edges(8, [])
     assert heavy_neighbors(empty, {0, 1, 2}) == set()
     # star centre 0 with 7 leaves; the leaves as the subset
-    star = adjacency_from_edges(8, [(0, i) for i in range(1, 8)])
+    star = rows_from_edges(8, [(0, i) for i in range(1, 8)])
     leaves = set(range(1, 8))
     assert heavy_neighbors(star, leaves, threshold=6) == {0}
     assert heavy_neighbors(star, leaves, threshold=7) == set()
@@ -361,17 +366,17 @@ def test_heavy_neighbors_edge_count_arithmetic():
     # K_{7,8}: subset = one side (size 7); every opposite vertex has 7 > 6
     # neighbours inside, so all 8 are heavy, and the subset plus any 7 of
     # them spans 49 > 42 edges
-    adj = adjacency_from_edges(
+    rows = rows_from_edges(
         15, [(i, 7 + j) for i in range(7) for j in range(8)]
     )
     side = set(range(7))
-    heavy = heavy_neighbors(adj, side, threshold=6)
+    heavy = heavy_neighbors(rows, side, threshold=6)
     assert heavy == set(range(7, 15))
     assert len(heavy) > 7
     spanned = sum(
         1
         for a, b in itertools.combinations(sorted(side | set(list(heavy)[:7])), 2)
-        if b in adj[a]
+        if rows[a] >> b & 1
     )
     assert spanned == 49 > 6 * 7
 
@@ -488,10 +493,10 @@ def test_dense_subset_implication_wiring():
     # a copy of K_{6,6} forces some 12-subset to span >= 36 edges; on the
     # 12-vertex K_{6,6} itself both sides of the implication are tight
     pattern = complete_bipartite_pattern(6, 6)
-    adj = adjacency_from_edges(12, list(pattern.edges))
-    assert max_edges_k_subset(adj, 12).edges == 36
-    assert find_copy(adj, pattern) is not None
+    rows = rows_from_edges(12, list(pattern.edges))
+    assert max_edges_k_subset(rows, 12).edges == 36
+    assert find_copy(rows, pattern) is not None
     # and on a sparse graph the subset bound certifies absence
-    sparse = adjacency_from_edges(12, [(i, i + 1) for i in range(11)])
+    sparse = rows_from_edges(12, [(i, i + 1) for i in range(11)])
     assert max_edges_k_subset(sparse, 12).edges < 36
     assert find_copy(sparse, pattern) is None

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,11 +25,20 @@ from trifree.process import (
 )
 
 
-def ground_truth_status(adjacency, u, v):
-    """Status recomputed from adjacency alone (test-side oracle)."""
-    if v in adjacency[u]:
+def log_rows(state):
+    """Edge rows rebuilt from the edge log alone (test-side oracle)."""
+    rows = [0] * state.n
+    for u, v in state.edge_log:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+def ground_truth_status(rows, u, v):
+    """Status recomputed from edge rows alone (test-side oracle)."""
+    if rows[u] >> v & 1:
         return PairStatus.EDGE
-    if adjacency[u] & adjacency[v]:
+    if rows[u] & rows[v]:
         return PairStatus.CLOSED
     return PairStatus.OPEN
 
@@ -63,6 +74,17 @@ def test_new_process_memory_guard():
     with pytest.raises(SizingError, match=f"{need} bytes.*{need - 1} bytes"):
         ProcessState(11, seed=0, memory_limit=need - 1)
     assert ProcessState(11, seed=0, memory_limit=need).n == 11
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_estimated_bytes_bounds_the_traced_peak(n):
+    tracemalloc.start()
+    try:
+        ProcessState(n, seed=1).run(Saturation())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimated_bytes(n) <= 2 * peak
 
 
 def test_initial_state_all_open():
@@ -224,26 +246,8 @@ def test_partial_set_cases():
 def test_partial_set_rejects_edges():
     state = new_process(4, seed=1)
     state.force_step(0, 1)
-    with pytest.raises(ValueError, match="frozen_partial_set"):
+    with pytest.raises(ValueError, match="non-edge"):
         state.partial_set(0, 1)
-
-
-def test_frozen_partial_set_recording():
-    state = ProcessState(4, seed=1, record_frozen_y=True)
-    state.force_step(0, 2)
-    assert state.frozen_partial_set(0, 2) == frozenset()
-    # with the single edge {0,2} and {0,1} open, the partial set of {1,2} is {0}
-    assert state.partial_set(1, 2) == {0}
-    state.force_step(1, 2)
-    assert state.frozen_partial_set(1, 2) == frozenset({0})
-
-
-def test_frozen_partial_set_disabled_and_missing():
-    state = new_process(4, seed=1)
-    state.force_step(0, 1)
-    assert state.frozen_partial_set(0, 1) is None  # not recorded
-    with pytest.raises(ValueError, match="never inserted"):
-        state.frozen_partial_set(0, 2)
 
 
 def test_open_pair_count_after_one_step():
@@ -327,17 +331,17 @@ def test_audit_detects_corrupted_status():
 
 def reference_discrepancies(state, ranks):
     """The per-pair audit loop: each pair in `ranks` compared with the
-    adjacency sets under both endpoints' stored bits (test-side oracle)."""
-    adj = state.adjacency
+    edge log's rows under both endpoints' stored bits (test-side oracle)."""
+    rows = log_rows(state)
     out = []
     for r in ranks:
         u, v = state._unrank(r)
-        if v in adj[u]:
-            actual, bits = PairStatus.EDGE, (0, 1)
-        elif not adj[u].isdisjoint(adj[v]):
-            actual, bits = PairStatus.CLOSED, (0, 0)
-        else:
-            actual, bits = PairStatus.OPEN, (1, 0)
+        actual = ground_truth_status(rows, u, v)
+        bits = {
+            PairStatus.EDGE: (0, 1),
+            PairStatus.CLOSED: (0, 0),
+            PairStatus.OPEN: (1, 0),
+        }[actual]
         for a, b in ((u, v), (v, u)):
             if (state._open_mask[a] >> b & 1, state._adj_mask[a] >> b & 1) != bits:
                 out.append((u, v, state._stored_status(a, b), actual))
@@ -376,12 +380,15 @@ def test_audit_detects_planted_triangle():
     state = new_process(6, seed=8)
     state.force_step(0, 1)
     state.force_step(1, 2)
-    # plant an adjacency triangle without telling the status store
-    state.adjacency[0].add(2)
-    state.adjacency[2].add(0)
-    state.edge_log.append((0, 2))
+    # the log is read-only from outside: appending to it must fail loudly
+    with pytest.raises(AttributeError):
+        state.edge_log.append((0, 2))
+    # plant a triangle in the log's columns without telling the status store
+    state._log_u.append(0)
+    state._log_v.append(2)
     report = state.audit(state.total_pairs)
-    assert report.triangles
+    assert report.triangles == ((0, 1, 2), (1, 2, 0), (0, 2, 1))
+    assert report.edges_scanned == 3
 
 
 def test_audit_sampling_subset():
@@ -447,6 +454,22 @@ def test_same_seed_reproduces_edge_log():
     assert a.edge_log == b.edge_log
 
 
+@pytest.mark.parametrize(
+    "n, seed, steps, digest",
+    [
+        (60, 2, 419, "8daf77dcf251d76460e74a38c2967871185b739fd31e9134934a6df25aef8c5b"),
+        (500, 11, 11822, "d80d2ee7f15d7608380133ddee0f83eadcc35c3549fbc44742a7d4a70ee3ab95"),
+    ],
+)
+def test_edge_sequence_is_pinned(n, seed, steps, digest):
+    # the draw's exact stream: any change to it breaks every recorded run
+    state = ProcessState(n, seed)
+    assert state.run(Saturation()).saturated
+    text = "".join(f"{u} {v}\n" for u, v in state.edge_log)
+    assert state.steps == steps
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_different_seeds_diverge():
     a = new_process(40, seed=123)
     b = new_process(40, seed=124)
@@ -474,47 +497,51 @@ def test_full_run_invariants(n, seed):
     closed_before: set = set()
     while True:
         # pre-insertion snapshot for the closure-rule oracle
-        pre_adjacency = [set(s) for s in state.adjacency]
+        pre_rows = log_rows(state)
         result = state.step()
         if result is None:
             break
         u, v = result.chosen
 
         # the inserted pair was open before: no common neighbour, not an edge
-        assert ground_truth_status(pre_adjacency, u, v) == PairStatus.OPEN
+        assert u < v
+        assert ground_truth_status(pre_rows, u, v) == PairStatus.OPEN
 
-        # newly_closed must match the rule computed from pre-insertion state
-        expected = set()
-        for w in pre_adjacency[u]:
-            if ground_truth_status(pre_adjacency, *sorted((v, w))) == PairStatus.OPEN:
-                expected.add(tuple(sorted((v, w))))
-        for w in pre_adjacency[v]:
-            if ground_truth_status(pre_adjacency, *sorted((u, w))) == PairStatus.OPEN:
-                expected.add(tuple(sorted((u, w))))
-        assert set(result.newly_closed) == expected
+        # newly_closed must match the rule computed from pre-insertion
+        # state, in order: the {v, w} with w a neighbour of u, w
+        # descending, then the {u, w} with w a neighbour of v
+        expected = tuple(
+            tuple(sorted((x, w)))
+            for x, y in ((v, u), (u, v))
+            for w in reversed(range(n))
+            if pre_rows[y] >> w & 1
+            and ground_truth_status(pre_rows, *sorted((x, w))) == PairStatus.OPEN
+        )
+        assert result.newly_closed == expected
 
-        # partition and closure soundness against the adjacency oracle
+        # partition and closure soundness against the edge-log oracle
+        rows = log_rows(state)
         counts = {PairStatus.OPEN: 0, PairStatus.EDGE: 0, PairStatus.CLOSED: 0}
         closed_now = set()
         for a, b in combinations(range(n), 2):
             stored = state.pair_status(a, b)
-            assert stored == ground_truth_status(state.adjacency, a, b)
+            assert stored == ground_truth_status(rows, a, b)
             counts[stored] += 1
             if stored == PairStatus.CLOSED:
                 closed_now.add((a, b))
         assert sum(counts.values()) == total
 
-        # partial-vertex counts and sets against a loop over the adjacency
+        # partial-vertex counts and sets against a loop over the edge log
         for a, b in combinations(range(n), 2):
-            if b in state.adjacency[a]:
+            if rows[a] >> b & 1:
                 continue
             reference = {
                 w
                 for w in range(n)
                 if w not in (a, b)
                 and {
-                    ground_truth_status(state.adjacency, *sorted((a, w))),
-                    ground_truth_status(state.adjacency, *sorted((b, w))),
+                    ground_truth_status(rows, *sorted((a, w))),
+                    ground_truth_status(rows, *sorted((b, w))),
                 }
                 == {PairStatus.EDGE, PairStatus.OPEN}
             }
