@@ -19,9 +19,6 @@ from .process import (
     StepResult,
     Steps,
     StopCondition,
-    TimeLimit,
-    VertexClass,
-    new_process,
 )
 from .trajectory import (
     Checkpoint,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .harness import (
@@ -156,7 +157,7 @@ def _do_run(args: argparse.Namespace) -> int:
         pattern_until_horizon=args.pattern_until_horizon,
     )
     summary = cmd_run(config, Path(args.out))
-    print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(asdict(summary), indent=2, sort_keys=True))
     return EXIT_OK
 
 

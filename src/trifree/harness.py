@@ -21,10 +21,11 @@ import json
 import math
 import time
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from multiprocessing import Pool
 from pathlib import Path
 from statistics import fmean, pstdev
+from typing import Iterable
 
 from .oracle import equivalence_tv
 from .patterns import (
@@ -40,7 +41,6 @@ from .process import (
     SizingError,
     StepResult,
     Steps,
-    TimeLimit,
     StopCondition,
     estimated_bytes,
     physical_memory_bytes,
@@ -50,6 +50,7 @@ from .trajectory import (
     Checkpoint,
     TrajectoryParams,
     checkpoint_row,
+    csv_field,
     default_cadence,
     grid_steps,
     grid_times,
@@ -88,8 +89,8 @@ def parse_stop(text: str) -> StopCondition | Horizon:
         return Steps(limit)
     if kind == "horizon" and value:
         mult = float(value)
-        if mult <= 0:
-            raise ValueError(f"horizon multiplier must be > 0, got {mult}")
+        if not (math.isfinite(mult) and mult > 0):
+            raise ValueError(f"horizon multiplier must be finite and > 0, got {mult}")
         return Horizon(mult)
     raise ValueError(
         f"unrecognised stop condition {text!r}; "
@@ -104,8 +105,6 @@ def stop_label(stop: StopCondition | Horizon) -> str:
         return f"steps:{stop.limit}"
     if isinstance(stop, Horizon):
         return f"horizon:{stop.multiplier:g}"
-    if isinstance(stop, TimeLimit):
-        return f"time:{stop.t_max:g}"
     raise TypeError(f"unknown stop condition {stop!r}")
 
 
@@ -149,40 +148,15 @@ class RunSummary:
     checkpoint_path: str | None
     duration_seconds: float
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "n": self.n,
-            "seed": self.seed,
-            "stop": self.stop,
-            "final_step": self.final_step,
-            "saturated": self.saturated,
-            "final_edge_count": self.final_edge_count,
-            "horizon": self.horizon,
-            "blocking_window_start": self.blocking_window_start,
-            "first_appearance": dict(self.first_appearance),
-            "blocked_fraction_at_horizon": dict(self.blocked_fraction_at_horizon),
-            "checkpoint_path": self.checkpoint_path,
-            "duration_seconds": self.duration_seconds,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunSummary":
-        return cls(
-            schema_version=data["schema_version"],
-            n=data["n"],
-            seed=data["seed"],
-            stop=data["stop"],
-            final_step=data["final_step"],
-            saturated=data["saturated"],
-            final_edge_count=data["final_edge_count"],
-            horizon=data["horizon"],
-            blocking_window_start=data["blocking_window_start"],
-            first_appearance=dict(data["first_appearance"]),
-            blocked_fraction_at_horizon=dict(data["blocked_fraction_at_horizon"]),
-            checkpoint_path=data["checkpoint_path"],
-            duration_seconds=data["duration_seconds"],
-        )
+        """Load a summary.json object; any other schema version is rejected."""
+        version = data.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise ValueError(
+                f"summary schema_version {version!r} is not {SCHEMA_VERSION!r}"
+            )
+        return cls(**data)
 
 
 @dataclass
@@ -191,7 +165,6 @@ class RunResult:
     checkpoints: list[Checkpoint]
     state: ProcessState
     trackers: list[FirstAppearanceTracker]
-    horizon_reports: dict[str, object] = field(default_factory=dict)
 
 
 def _resolve_stop(stop: StopCondition | Horizon, horizon: int) -> StopCondition:
@@ -212,19 +185,9 @@ def load_patterns(paths: tuple[str, ...] | list[str]) -> list[Pattern]:
     return patterns
 
 
-def run_simulation(
-    config: RunConfig,
-    *,
-    trackers: list[FirstAppearanceTracker] | None = None,
-    at_horizon=None,
-) -> RunResult:
-    """Execute one run with checkpoints, pattern tracking, and horizon hooks.
-
-    `trackers` overrides the trackers built from config.patterns (used by
-    tests and sweeps that construct patterns programmatically).
-    `at_horizon(state)` fires once when the run reaches the tracking
-    horizon, with the state quiescent.
-    """
+def run_simulation(config: RunConfig) -> RunResult:
+    """Execute one run with checkpoints, pattern tracking, and placement
+    classification at the horizon."""
     config.validate()
     started = time.perf_counter()
     params = TrajectoryParams(config.n)
@@ -232,12 +195,11 @@ def run_simulation(
     state = ProcessState(config.n, config.seed)
     rng = measurement_rng(config.seed)
 
-    if trackers is None:
-        until = horizon if config.pattern_until_horizon else None
-        trackers = [
-            FirstAppearanceTracker(p, until_step=until)
-            for p in load_patterns(config.patterns)
-        ]
+    until = horizon if config.pattern_until_horizon else None
+    trackers = [
+        FirstAppearanceTracker(p, until_step=until)
+        for p in load_patterns(config.patterns)
+    ]
 
     cadence = config.checkpoint_every or default_cadence(horizon)
     grid = grid_steps(config.n, grid_times())
@@ -260,8 +222,6 @@ def run_simulation(
                     blocked_at_horizon[tracker.pattern.label] = (
                         report.fraction_blocked
                     )
-            if at_horizon is not None:
-                at_horizon(st)
         if i % cadence == 0 or i in grid:
             checkpoints.append(take_checkpoint(st, params, config.y_sample_count, rng))
 
@@ -300,9 +260,9 @@ def write_checkpoints_csv(path: Path, checkpoints: list[Checkpoint]) -> None:
             writer.writerow(checkpoint_row(cp))
 
 
-def write_edge_log(path: Path, edge_log: tuple[tuple[int, int], ...]) -> None:
+def write_edge_log(path: Path, edges: Iterable[tuple[int, int]]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for step, (u, v) in enumerate(edge_log, start=1):
+        for step, (u, v) in enumerate(edges, start=1):
             fh.write(f"{step} {u} {v}\n")
 
 
@@ -312,10 +272,10 @@ def write_run_artifacts(result: RunResult, out_dir: Path) -> RunSummary:
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "checkpoints.csv"
     write_checkpoints_csv(checkpoint_path, result.checkpoints)
-    write_edge_log(out_dir / "edges.log", result.state.edge_log)
+    write_edge_log(out_dir / "edges.log", result.state.iter_edges())
     summary = replace(result.summary, checkpoint_path=str(checkpoint_path))
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
     result.summary = summary
     return summary
@@ -457,7 +417,7 @@ def write_sweep_files(
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
             writer.writerow(
-                [_csv_field(row.get(column)) for column in SWEEP_COLUMNS]
+                [csv_field(row.get(column)) for column in SWEEP_COLUMNS]
             )
     with open(out_dir / "sweep_summary.json", "w", encoding="utf-8") as fh:
         json.dump(
@@ -468,16 +428,6 @@ def write_sweep_files(
         )
         fh.write("\n")
     return csv_path
-
-
-def _csv_field(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 # ----------------------------------------------------------------------
@@ -507,15 +457,12 @@ def audit_run(
     oracle: bool = False,
     trials: int = 100_000,
     tv_threshold: float = 0.02,
-    corruptor=None,
 ) -> AuditOutcome:
     """Run with a full ground-truth audit at every checkpoint step.
 
     With `oracle=True` (n <= 5 only) additionally compares final-graph
     distributions between the engine and the permutation ordering
-    reference over `trials` runs each.  `corruptor(state)`, if given, is
-    invoked after the first step; it exists so tests can verify that a
-    poisoned state is actually caught.
+    reference over `trials` runs each.
     """
     config.validate()
     if oracle and config.n > 5:
@@ -529,8 +476,6 @@ def audit_run(
 
     def hook(st: ProcessState, result: StepResult) -> None:
         nonlocal audits
-        if corruptor is not None and st.steps == 1:
-            corruptor(st)
         if st.steps % cadence == 0:
             report = st.audit(st.total_pairs)
             audits += 1

@@ -30,7 +30,7 @@ from functools import cached_property
 
 from .process import ProcessState
 
-DEFAULT_MAX_PATTERN_VERTICES = 12
+MAX_PATTERN_VERTICES = 12  # the copy search's cap on k
 EXACT_SUBSET_GUARD = 10_000_000
 
 
@@ -72,19 +72,14 @@ class Pattern:
         return self.name or f"pattern-{self.k}v{self.e}e"
 
 
-def make_pattern(
-    k: int,
-    edges: list[tuple[int, int]],
-    name: str = "",
-    max_vertices: int = DEFAULT_MAX_PATTERN_VERTICES,
-) -> Pattern:
-    """Validate and build a pattern (triangle-free, simple, k >= 2, e >= 1)."""
+def make_pattern(k: int, edges: list[tuple[int, int]], name: str = "") -> Pattern:
+    """Validate and build a pattern (triangle-free, simple, 2 <= k <= 12, e >= 1)."""
     if k < 2:
         raise PatternError(f"pattern needs k >= 2 vertices, got k={k}")
-    if k > max_vertices:
+    if k > MAX_PATTERN_VERTICES:
         raise PatternError(
-            f"pattern has k={k} vertices; the search default caps at "
-            f"{max_vertices} (raise max_vertices to override)"
+            f"pattern has k={k} vertices; the copy search caps at "
+            f"{MAX_PATTERN_VERTICES}"
         )
     if not edges:
         raise PatternError("pattern needs at least one edge")
@@ -111,11 +106,7 @@ def make_pattern(
     return Pattern(k=k, edges=tuple(sorted(seen)), name=name)
 
 
-def parse_pattern(
-    text: str,
-    name: str = "",
-    max_vertices: int = DEFAULT_MAX_PATTERN_VERTICES,
-) -> Pattern:
+def parse_pattern(text: str, name: str = "") -> Pattern:
     """Parse the text format: header line `k e`, then e lines `u v` (u < v).
 
     `#` starts a comment; blank lines are ignored.  Errors carry the
@@ -148,18 +139,16 @@ def parse_pattern(
     if len(edges) != e:
         raise PatternError(f"header declares {e} edges but {len(edges)} were given")
     try:
-        return make_pattern(k, edges, name=name, max_vertices=max_vertices)
+        return make_pattern(k, edges, name=name)
     except PatternError as err:
         raise PatternError(str(err)) from None
 
 
-def load_pattern_file(
-    path: str, max_vertices: int = DEFAULT_MAX_PATTERN_VERTICES
-) -> Pattern:
+def load_pattern_file(path: str) -> Pattern:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stem = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return parse_pattern(text, name=stem, max_vertices=max_vertices)
+    return parse_pattern(text, name=stem)
 
 
 def pattern_text(pattern: Pattern) -> str:
@@ -589,11 +578,6 @@ def _classify(
     return PlacementClass.REALIZED if realized else PlacementClass.OPEN_COMPATIBLE
 
 
-def sample_placement(n: int, k: int, rng: random.Random) -> tuple[int, ...]:
-    """A uniformly random injective placement (partial shuffle)."""
-    return tuple(rng.sample(range(n), k))
-
-
 def blocked_placements(
     state: ProcessState,
     pattern: Pattern,
@@ -615,9 +599,11 @@ def blocked_placements(
     blocked = 0
     realized = 0
     kept: list[tuple[int, ...]] = []
+    vertices = range(state.n)
     for _ in range(sample_count):
-        # a sampled placement is valid by construction: classify unchecked
-        placement = sample_placement(state.n, pattern.k, rng)
+        # a uniformly random injective placement, valid by construction:
+        # classify it unchecked
+        placement = tuple(rng.sample(vertices, pattern.k))
         verdict = _classify(open_rows, adj_rows, later, placement)
         if verdict == PlacementClass.BLOCKED:
             blocked += 1

@@ -45,14 +45,13 @@ import os
 import random
 from array import array
 from dataclasses import dataclass
-from enum import Enum, IntEnum
-from fractions import Fraction
-from typing import Callable
+from enum import IntEnum
+from typing import Callable, Iterator
 
 # Bytes per inserted edge: the edge log's two columns and the growth of
 # the edge rows.  tracemalloc runs to saturation at n = 300 to 2000 left
 # 11 B per edge at the end; 16 covers the state's fixed overhead at
-# small n.  The peak at n = 2000 is 7.7 MB, at the index's second rebuild.
+# small n.  The peak at n = 2000 is 5.6 MB, at the index's first rebuild.
 BYTES_PER_EDGE = 16
 # c(n) = final edges / (n^(3/2) sqrt(ln n)) reads 0.40-0.50 for
 # 30 <= n <= 4000 and tends to 1/(2 sqrt 2) ~ 0.354
@@ -72,14 +71,14 @@ def index_typecode(total: int) -> str:
 def estimated_bytes(n: int) -> int:
     """Peak memory of a ProcessState(n) run to saturation, in bytes.
 
-    The index peaks at its second rebuild, which holds the old array of
-    at most half the pairs and the new one of at most a quarter at once;
-    the masks take n^2/4 bytes; the edges take BYTES_PER_EDGE each.
+    The index peaks at its first rebuild, an array of at most half the
+    pairs (each rebuild drops the old array before it builds the new
+    one); the masks take n^2/4 bytes; the edges take BYTES_PER_EDGE each.
     """
     if n < 2:
         return 0
     total = n * (n - 1) // 2
-    index = array(index_typecode(total)).itemsize * total * 3 // 4
+    index = array(index_typecode(total)).itemsize * total // 2
     edges = EDGE_COUNT_BOUND * n * math.sqrt(n * math.log(n))
     return index + n * n // 4 + int(BYTES_PER_EDGE * edges)
 
@@ -97,21 +96,6 @@ class PairStatus(IntEnum):
     OPEN = 0
     EDGE = 1
     CLOSED = 2
-
-
-class VertexClass(Enum):
-    """Classification of a vertex w relative to a non-edge pair {u, v}.
-
-    OPEN_VERTEX  both {u,w} and {v,w} are open
-    PARTIAL      exactly one of {u,w}, {v,w} is an edge, the other open
-    COMPLETE     both {u,w} and {v,w} are edges (w is a common neighbour)
-    NEITHER      any remaining combination (some pair involved is closed)
-    """
-
-    OPEN_VERTEX = "open"
-    PARTIAL = "partial"
-    COMPLETE = "complete"
-    NEITHER = "neither"
 
 
 @dataclass(frozen=True)
@@ -148,14 +132,7 @@ class Steps:
     limit: int
 
 
-@dataclass(frozen=True)
-class TimeLimit:
-    """Run until scaled time i / n^(3/2) reaches t_max."""
-
-    t_max: float
-
-
-StopCondition = Saturation | Steps | TimeLimit
+StopCondition = Saturation | Steps
 
 
 @dataclass(frozen=True)
@@ -237,13 +214,13 @@ class ProcessState:
         """Number of edges inserted so far."""
         return len(self._log_u)
 
-    @property
-    def edge_log(self) -> tuple[tuple[int, int], ...]:
-        """The inserted edges (u, v), u < v, in insertion order; a copy."""
-        # through a list, which knows its length: tuple(zip(...)) guesses
-        # 10 slots and shrinks, and for short logs the shrunk tuples pile
-        # up in CPython's small-tuple free lists (0.3 MB over tiny runs)
-        return tuple(list(zip(self._log_u, self._log_v)))
+    def iter_edges(self) -> Iterator[tuple[int, int]]:
+        """The inserted edges (u, v), u < v, in insertion order.
+
+        A one-shot iterator over the log's columns: it builds one tuple per
+        edge as it goes, never the whole list.
+        """
+        return zip(self._log_u, self._log_v)
 
     @property
     def open_pairs(self) -> int:
@@ -315,9 +292,9 @@ class ProcessState:
         """
         if self._open_count == 0:
             return None
+        if len(self._open) > 2 * self._open_count + self.n:
+            self._compact()
         index = self._open
-        if len(index) > 2 * self._open_count + self.n:
-            index = self._compact()
         size = len(index)
         k = size.bit_length()
         draw = self._rng.getrandbits
@@ -360,7 +337,12 @@ class ProcessState:
         return self._insert(min(u, v), max(u, v))
 
     def _compact(self) -> array:
-        """Rebuild the lazy index as exactly the OPEN ranks, read from the masks."""
+        """Rebuild the lazy index as exactly the OPEN ranks, read from the masks.
+
+        The old index is dropped first, so the old and the new array are
+        never held at once.
+        """
+        self._open = range(0)
         index = array(index_typecode(self._total))
         append = index.append
         rowbase = self._rowbase
@@ -417,8 +399,6 @@ class ProcessState:
             limit = None
         elif isinstance(stop, Steps):
             limit = stop.limit
-        elif isinstance(stop, TimeLimit):
-            limit = math.ceil(stop.t_max * self.n**1.5)
         else:
             raise TypeError(f"unknown stop condition: {stop!r}")
         while limit is None or self.steps < limit:
@@ -430,76 +410,7 @@ class ProcessState:
         return RunOutcome(self.steps, self._open_count, self._open_count == 0)
 
     # ------------------------------------------------------------------
-    # pair-local structure
-
-    def classify_vertex(self, u: int, v: int, w: int) -> VertexClass:
-        """Classify w relative to the non-edge pair {u, v}."""
-        if w == u or w == v:
-            raise ValueError("w must be distinct from u and v")
-        if self.pair_status(u, v) == PairStatus.EDGE:
-            raise ValueError(
-                f"({u}, {v}) is an edge; vertex classification is defined "
-                f"for non-edge pairs only"
-            )
-        self._check_vertex(w)
-        open_w = self._open_mask[w]
-        adj_w = self._adj_mask[w]
-        open_u, open_v = open_w >> u & 1, open_w >> v & 1
-        edge_u, edge_v = adj_w >> u & 1, adj_w >> v & 1
-        if open_u and open_v:
-            return VertexClass.OPEN_VERTEX
-        if (open_u and edge_v) or (edge_u and open_v):
-            return VertexClass.PARTIAL
-        if edge_u and edge_v:
-            return VertexClass.COMPLETE
-        return VertexClass.NEITHER
-
-    def _partial_masks(self, u: int, v: int) -> tuple[int, int]:
-        """The partial vertices w of the non-edge {u, v}, as two disjoint
-        masks: {u, w} an edge with {v, w} open, and the other way round."""
-        self._rank(u, v)
-        if self._adj_mask[u] >> v & 1:
-            raise ValueError(
-                f"({u}, {v}) is an edge; partial vertices are defined for "
-                f"non-edge pairs only"
-            )
-        adj_mask = self._adj_mask
-        open_mask = self._open_mask
-        return adj_mask[u] & open_mask[v], adj_mask[v] & open_mask[u]
-
-    def partial_set(self, u: int, v: int) -> set[int]:
-        """All partial vertices of the non-edge pair {u, v}.
-
-        Enumerates the set bits of two mask intersections, so the cost is
-        O(1 + |partial set|) interpreter iterations.
-        """
-        via_u, via_v = self._partial_masks(u, v)
-        bits = via_u | via_v
-        out: set[int] = set()
-        while bits:
-            w = bits.bit_length() - 1
-            bits ^= 1 << w
-            out.add(w)
-        return out
-
-    def partial_count(self, u: int, v: int) -> int:
-        """|partial_set(u, v)|, as two popcounts."""
-        via_u, via_v = self._partial_masks(u, v)
-        return via_u.bit_count() + via_v.bit_count()
-
-    def closure_probability_estimate(self, u: int, v: int) -> Fraction:
-        """Probability that the next step closes the open pair {u, v}.
-
-        Exactly |partial_set(u, v)| / Q: the pair closes precisely when
-        the missing edge at one of its partial vertices is chosen.
-        """
-        status = self.pair_status(u, v)
-        if status != PairStatus.OPEN:
-            raise ValueError(
-                f"({u}, {v}) is {status.name}; "
-                f"closure probability is defined for open pairs"
-            )
-        return Fraction(self.partial_count(u, v), self._open_count)
+    # measurement
 
     def sample_open_pairs(
         self, count: int, rng: random.Random
@@ -623,12 +534,3 @@ class ProcessState:
             ),
         )
 
-
-def new_process(
-    n: int,
-    seed: int,
-    *,
-    memory_limit: int | None = None,
-) -> ProcessState:
-    """Create a fresh process: step 0, empty graph, every pair open."""
-    return ProcessState(n, seed, memory_limit=memory_limit)

@@ -34,7 +34,6 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from statistics import fmean
-from typing import Callable
 
 from .process import ProcessState
 
@@ -146,19 +145,14 @@ def envelope_vacuous(t: float, n: int) -> bool:
     return log_open_pair_envelope(t, n) >= log_curve
 
 
-def step_horizon(
-    n: int,
-    coefficient: float = HORIZON_COEFFICIENT,
-    log: Callable[[float], float] = math.log,
-) -> int:
-    """floor(coefficient * n^(3/2) * sqrt(log n)).
+def step_horizon(n: int) -> int:
+    """floor(HORIZON_COEFFICIENT * n^(3/2) * sqrt(ln n)).
 
-    Natural log by default; pass e.g. math.log2 to rebase.  Tiny n can
-    yield an empty horizon, which is reported with a warning.
+    Tiny n can yield an empty horizon, which is reported with a warning.
     """
     if n < 2:
         raise ValueError(f"horizon needs n >= 2 (log 1 = 0), got n={n}")
-    horizon = int(coefficient * n**1.5 * math.sqrt(log(n)))
+    horizon = int(HORIZON_COEFFICIENT * n**1.5 * math.sqrt(math.log(n)))
     if horizon == 0:
         warnings.warn(
             f"step horizon is empty at n={n}; trajectory checks need larger n",
@@ -172,11 +166,10 @@ class TrajectoryParams:
     """Vertex count plus the derived tracking horizon."""
 
     n: int
-    coefficient: float = HORIZON_COEFFICIENT
 
     @cached_property
     def horizon(self) -> int:
-        return step_horizon(self.n, self.coefficient)
+        return step_horizon(self.n)
 
     @property
     def horizon_time(self) -> float:
@@ -227,30 +220,31 @@ CHECKPOINT_COLUMNS = (
 )
 
 
+def csv_field(value: object) -> str:
+    """One CSV field: empty for None, true/false, floats by repr."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def checkpoint_row(cp: Checkpoint) -> list[str]:
     """Render a checkpoint as CSV fields in CHECKPOINT_COLUMNS order."""
-
-    def fmt(value: object) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        return repr(value) if isinstance(value, float) else str(value)
-
     return [
-        fmt(cp.step),
-        fmt(cp.t),
-        fmt(cp.open_pairs),
-        fmt(cp.q_pred),
-        fmt(cp.q_env),
-        fmt(cp.rel_q),
-        fmt(cp.y_mean),
-        fmt(cp.y_pred),
-        fmt(cp.y_env),
-        fmt(cp.rel_y),
-        fmt(cp.formal_q_ok),
-        fmt(cp.formal_y_ok),
-        fmt(cp.env_vacuous),
+        csv_field(cp.step),
+        csv_field(cp.t),
+        csv_field(cp.open_pairs),
+        csv_field(cp.q_pred),
+        csv_field(cp.q_env),
+        csv_field(cp.rel_q),
+        csv_field(cp.y_mean),
+        csv_field(cp.y_pred),
+        csv_field(cp.y_env),
+        csv_field(cp.rel_y),
+        csv_field(cp.formal_q_ok),
+        csv_field(cp.formal_y_ok),
+        csv_field(cp.env_vacuous),
     ]
 
 
@@ -282,7 +276,8 @@ def take_checkpoint(
     rel_q = abs(q_obs / q_pred - 1.0) if q_pred > 0.0 else math.inf
     formal_q_ok = abs(q_obs - q_pred) <= q_env
 
-    # the sampled pairs are OPEN, so partial_count's checks are skipped
+    # |Y| of an open pair {u, v}: w with {u, w} an edge and {v, w} open,
+    # or the other way round; the two masks are disjoint
     adj = state.edge_masks
     opn = state.open_masks
     y_samples = tuple(

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import hashlib
+import importlib
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from trifree import harness
+from trifree import harness, oracle
 from trifree.cli import main
 from trifree.harness import (
     Horizon,
@@ -27,7 +31,15 @@ from trifree.harness import (
     write_sweep_files,
 )
 from trifree.patterns import FirstAppearanceTracker, cycle_pattern, pattern_text
-from trifree.process import PairStatus, Saturation, SizingError, Steps, estimated_bytes
+from trifree.process import (
+    PairStatus,
+    ProcessState,
+    Saturation,
+    SizingError,
+    StepResult,
+    Steps,
+    estimated_bytes,
+)
 from trifree.trajectory import CHECKPOINT_COLUMNS, step_horizon
 
 C4_FILE_TEXT = pattern_text(cycle_pattern(4))
@@ -51,7 +63,9 @@ def test_parse_stop_forms():
 
 
 def test_parse_stop_rejects_garbage():
-    for bad in ("idle", "steps:", "horizon:0", "steps:-3", "horizon:x"):
+    for bad in (
+        "idle", "steps:", "horizon:0", "steps:-3", "horizon:x", "horizon:inf", "horizon:nan"
+    ):
         with pytest.raises(ValueError):
             parse_stop(bad)
 
@@ -133,6 +147,28 @@ def test_run_artifacts_files(tmp_path, c4_path):
     with open(out / "summary.json") as fh:
         data = json.load(fh)
     assert RunSummary.from_dict(data) == summary
+    for version in ("2", None):
+        with pytest.raises(ValueError, match="schema_version"):
+            RunSummary.from_dict({**data, "schema_version": version})
+
+
+def test_edge_log_is_written_from_the_log_columns(tmp_path):
+    # the file is streamed: writing a saturated n = 1000 run's 35k edges
+    # must not build them all in memory first
+    config = RunConfig(n=1000, seed=1, checkpoint_every=10**9, y_sample_count=0)
+    result = run_simulation(config)
+    assert result.summary.saturated
+    tracemalloc.start()
+    try:
+        write_run_artifacts(result, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    lines = (tmp_path / "edges.log").read_text().splitlines()
+    assert lines == [
+        f"{i} {u} {v}" for i, (u, v) in enumerate(result.state.iter_edges(), start=1)
+    ]
 
 
 def test_run_artifacts_reproducible_bytes(tmp_path, c4_path):
@@ -187,21 +223,6 @@ def test_cmd_run_rejects_bad_pattern_before_simulating(tmp_path):
     with pytest.raises(Exception):
         cmd_run(config, tmp_path / "out")
     assert not (tmp_path / "out").exists()
-
-
-def test_at_horizon_hook_fires_once():
-    calls: list[int] = []
-    config = RunConfig(n=30, seed=8)
-    run_simulation(config, at_horizon=lambda st: calls.append(st.steps))
-    assert calls == [step_horizon(30)]
-
-
-def test_custom_trackers_override_config():
-    tracker = FirstAppearanceTracker(cycle_pattern(4))
-    config = RunConfig(n=30, seed=2)
-    result = run_simulation(config, trackers=[tracker])
-    assert result.trackers == [tracker]
-    assert "C4" in result.summary.first_appearance
 
 
 # ----------------------------------------------------------------------
@@ -285,18 +306,25 @@ def test_audit_run_clean():
     assert outcome.tv_distance is None
 
 
-def test_audit_run_catches_corruption():
-    def corrupt(state):
-        u, v = next(
-            (u, v)
-            for u in range(state.n)
-            for v in range(u + 1, state.n)
-            if state.pair_status(u, v) == PairStatus.OPEN
-        )
-        state._open_mask[u] &= ~(1 << v)
-        state._open_mask[v] &= ~(1 << u)
+def test_audit_run_catches_corruption(monkeypatch):
+    class CorruptedAfterFirstStep(ProcessState):
+        """Flips one OPEN pair to CLOSED behind the engine's back."""
 
-    outcome = audit_run(RunConfig(n=20, seed=3), corruptor=corrupt)
+        def step(self):
+            result = super().step()
+            if self.steps == 1:
+                u, v = next(
+                    (u, v)
+                    for u in range(self.n)
+                    for v in range(u + 1, self.n)
+                    if self.pair_status(u, v) == PairStatus.OPEN
+                )
+                self._open_mask[u] &= ~(1 << v)
+                self._open_mask[v] &= ~(1 << u)
+            return result
+
+    monkeypatch.setattr(harness, "ProcessState", CorruptedAfterFirstStep)
+    outcome = audit_run(RunConfig(n=20, seed=3))
     assert not outcome.ok
     step, report = outcome.failures[0]
     assert report.discrepancies or not report.open_count_consistent
@@ -342,6 +370,7 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 def test_cli_usage_errors(tmp_path, capsys):
     assert main(["run", "--n", "1", "--out", str(tmp_path)]) == 1
     assert main(["run", "--n", "3", "--stop", "whenever", "--out", str(tmp_path)]) == 1
+    assert main(["run", "--n", "50", "--stop", "horizon:inf", "--out", str(tmp_path)]) == 1
     assert main(["bogus-command"]) == 1
     assert main(["run"]) == 1  # --n missing
     capsys.readouterr()
@@ -398,3 +427,43 @@ def test_cli_pattern_run_integration(tmp_path, capsys, c4_path):
     summary = json.loads((out / "summary.json").read_text())
     assert "c4" in summary["first_appearance"]
     capsys.readouterr()
+
+
+# ----------------------------------------------------------------------
+# the benchmark's entry points
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_entry_points_exist():
+    # perfbench/ imports these names and patches these attributes to time
+    # the layers; its own smoke test is slow, so a removal must fail here
+    for script in ("workloads.py", "spans.py"):
+        tree = ast.parse((PERFBENCH / script).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("trifree"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), (script, alias.name)
+    used = {
+        harness: ("take_checkpoint", "blocked_placements", "run_simulation",
+                  "write_run_artifacts"),
+        oracle: ("engine_final_edges", "permutation_final_edges"),
+        ProcessState: ("__init__", "step", "audit"),
+        FirstAppearanceTracker: ("offer",),
+        StepResult: ("newly_closed",),
+        RunSummary: ("from_dict",),
+    }
+    for owner, names in used.items():
+        for name in names:
+            assert hasattr(owner, name), (owner, name)
+    # the step spans count on run() calling step() once per step
+    calls = []
+
+    class Counting(ProcessState):
+        def step(self):
+            calls.append(self.steps)
+            return super().step()
+
+    outcome = Counting(12, seed=1).run(Saturation())
+    assert calls == list(range(outcome.steps + 1))

@@ -119,11 +119,11 @@ def test_make_pattern_validation():
         make_pattern(3, [])
 
 
-def test_pattern_vertex_cap_is_overridable():
-    edges = [(i, i + 1) for i in range(13)]
-    with pytest.raises(PatternError, match="caps"):
-        make_pattern(14, edges)
-    assert make_pattern(14, edges, max_vertices=16).k == 14
+def test_pattern_vertex_cap():
+    edges = [(i, i + 1) for i in range(12)]
+    with pytest.raises(PatternError, match="caps at 12"):
+        make_pattern(13, edges)
+    assert make_pattern(12, edges[:11]).k == 12
 
 
 def test_load_pattern_file_roundtrip(tmp_path):
@@ -278,7 +278,7 @@ def test_tracker_witness_is_a_copy():
     assert tracker.first_step is not None
     mapping = tracker.witness
     assert len(set(mapping)) == pattern.k
-    rows = rows_from_edges(state.n, state.edge_log)
+    rows = rows_from_edges(state.n, state.iter_edges())
     assert all(rows[mapping[a]] >> mapping[b] & 1 for a, b in pattern.edges)
 
 

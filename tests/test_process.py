@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import random
 import tracemalloc
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -18,17 +17,19 @@ from trifree.process import (
     Saturation,
     SizingError,
     Steps,
-    TimeLimit,
-    VertexClass,
     estimated_bytes,
-    new_process,
 )
+from trifree.trajectory import TrajectoryParams, take_checkpoint
+
+
+def edge_list(state):
+    return list(state.iter_edges())
 
 
 def log_rows(state):
     """Edge rows rebuilt from the edge log alone (test-side oracle)."""
     rows = [0] * state.n
-    for u, v in state.edge_log:
+    for u, v in state.iter_edges():
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return rows
@@ -47,28 +48,43 @@ def all_pairs(n):
     return list(combinations(range(n), 2))
 
 
+def oracle_partial_vertices(rows, a, b):
+    """The partial vertices of the non-edge {a, b}: the w with one of
+    {a, w}, {b, w} an edge and the other open, by the edge-log oracle."""
+    return {
+        w
+        for w in range(len(rows))
+        if w not in (a, b)
+        and {
+            ground_truth_status(rows, *sorted((a, w))),
+            ground_truth_status(rows, *sorted((b, w))),
+        }
+        == {PairStatus.EDGE, PairStatus.OPEN}
+    }
+
+
 # ----------------------------------------------------------------------
 # construction
 
-def test_new_process_initial_counts():
-    state = new_process(5, seed=1)
+def test_process_state_initial_counts():
+    state = ProcessState(5, seed=1)
     assert state.steps == 0
     assert state.open_pairs == 10
     assert state.total_pairs == 10
-    assert new_process(2, seed=7).open_pairs == 1
+    assert ProcessState(2, seed=7).open_pairs == 1
 
 
-def test_new_process_rejects_single_vertex():
+def test_process_state_rejects_single_vertex():
     with pytest.raises(SizingError):
-        new_process(1, seed=0)
+        ProcessState(1, seed=0)
     with pytest.raises(SizingError):
-        new_process(0, seed=0)
+        ProcessState(0, seed=0)
 
 
-def test_new_process_memory_guard():
+def test_process_state_memory_guard():
     # 10^6 vertices need about 2.8e12 bytes, beyond any machine's memory
     with pytest.raises(SizingError, match="memory limit"):
-        new_process(1_000_000, seed=0)
+        ProcessState(1_000_000, seed=0)
     # the limit is in bytes, configurable, and the message names both numbers
     need = estimated_bytes(11)
     with pytest.raises(SizingError, match=f"{need} bytes.*{need - 1} bytes"):
@@ -88,7 +104,7 @@ def test_estimated_bytes_bounds_the_traced_peak(n):
 
 
 def test_initial_state_all_open():
-    state = new_process(6, seed=3)
+    state = ProcessState(6, seed=3)
     for u, v in all_pairs(6):
         assert state.pair_status(u, v) == PairStatus.OPEN
     assert state.audit(1000).ok
@@ -98,14 +114,14 @@ def test_initial_state_all_open():
 # stepping
 
 def test_first_step_closes_nothing():
-    state = new_process(8, seed=11)
+    state = ProcessState(8, seed=11)
     result = state.step()
     assert result is not None
     assert result.newly_closed == ()
 
 
 def test_n3_saturates_with_two_edges():
-    state = new_process(3, seed=5)
+    state = ProcessState(3, seed=5)
     outcome = state.run(Saturation())
     assert outcome.steps == 2
     assert outcome.saturated
@@ -117,7 +133,7 @@ def test_n3_saturates_with_two_edges():
 
 def test_star_insertion_closes_spokes():
     # edges {0,2},{0,3},{0,4} exist; inserting {0,1} closes {1,2},{1,3},{1,4}
-    state = new_process(5, seed=0)
+    state = ProcessState(5, seed=0)
     for w in (2, 3, 4):
         state.force_step(0, w)
     result = state.force_step(0, 1)
@@ -126,21 +142,21 @@ def test_star_insertion_closes_spokes():
 
 
 def test_saturation_signal_is_not_an_error():
-    state = new_process(2, seed=1)
+    state = ProcessState(2, seed=1)
     assert state.step() is not None
     assert state.step() is None  # saturated
     assert state.step() is None
 
 
 def test_force_step_requires_open_pair():
-    state = new_process(4, seed=9)
+    state = ProcessState(4, seed=9)
     state.force_step(0, 1)
     with pytest.raises(ValueError, match="EDGE"):
         state.force_step(0, 1)
 
 
 def test_run_to_saturation_is_maximal_triangle_free():
-    state = new_process(4, seed=2)
+    state = ProcessState(4, seed=2)
     outcome = state.run(Saturation())
     assert outcome.saturated
     report = state.audit(1000)
@@ -151,26 +167,18 @@ def test_run_to_saturation_is_maximal_triangle_free():
 
 
 def test_run_step_limit():
-    state = new_process(100, seed=4)
+    state = ProcessState(100, seed=4)
     outcome = state.run(Steps(50))
     assert outcome.steps == 50
     assert not outcome.saturated
     assert state.audit(state.total_pairs).ok
 
 
-def test_run_time_limit():
-    n = 50
-    state = new_process(n, seed=6)
-    outcome = state.run(TimeLimit(0.3))
-    assert outcome.steps == int(-(-0.3 * n**1.5 // 1))  # ceil
-    assert not outcome.saturated
-
-
 # ----------------------------------------------------------------------
 # pair queries
 
 def test_pair_status_cases():
-    state = new_process(4, seed=1)
+    state = ProcessState(4, seed=1)
     assert state.pair_status(0, 3) == PairStatus.OPEN
     state.force_step(0, 1)
     state.force_step(1, 2)
@@ -183,11 +191,11 @@ def test_pair_status_cases():
 
 def test_rank_unrank_roundtrip():
     for n in range(2, 65):
-        state = new_process(n, seed=0)
+        state = ProcessState(n, seed=0)
         pairs = all_pairs(n)
         assert [state._rank(u, v) for u, v in pairs] == list(range(len(pairs)))
         assert [state._unrank(r) for r in range(len(pairs))] == pairs
-    state = new_process(2000, seed=0)
+    state = ProcessState(2000, seed=0)
     total = state.total_pairs
     rng = random.Random(5)
     for rank in [0, total - 1] + [rng.randrange(total) for _ in range(10_000)]:
@@ -197,7 +205,7 @@ def test_rank_unrank_roundtrip():
 
 
 def test_pair_status_argument_errors():
-    state = new_process(4, seed=1)
+    state = ProcessState(4, seed=1)
     with pytest.raises(ValueError):
         state.pair_status(2, 2)
     with pytest.raises(ValueError):
@@ -206,86 +214,17 @@ def test_pair_status_argument_errors():
         state.pair_status(-1, 2)
 
 
-def test_classify_vertex():
-    state = new_process(4, seed=1)
-    assert state.classify_vertex(0, 1, 2) == VertexClass.OPEN_VERTEX
-    state.force_step(0, 2)
-    assert state.classify_vertex(0, 1, 2) == VertexClass.PARTIAL
-    state.force_step(1, 2)
-    assert state.classify_vertex(0, 1, 2) == VertexClass.COMPLETE
-    assert state.pair_status(0, 1) == PairStatus.CLOSED
-
-
-def test_classify_vertex_neither_with_closed_pair():
-    state = new_process(5, seed=1)
-    state.force_step(0, 2)
-    state.force_step(2, 3)  # closes {0,3}
-    assert state.pair_status(0, 3) == PairStatus.CLOSED
-    # w=3 relative to {0,1}: {0,3} closed, {1,3} open
-    assert state.classify_vertex(0, 1, 3) == VertexClass.NEITHER
-
-
-def test_classify_vertex_rejects_edge_pair():
-    state = new_process(4, seed=1)
-    state.force_step(0, 1)
-    with pytest.raises(ValueError, match="edge"):
-        state.classify_vertex(0, 1, 2)
-    with pytest.raises(ValueError):
-        state.classify_vertex(0, 1, 1)
-
-
-def test_partial_set_cases():
-    state = new_process(4, seed=1)
-    assert state.partial_set(0, 1) == set()
-    state.force_step(0, 2)  # single edge {0,2}
-    assert state.partial_set(0, 1) == {2}
-    state.force_step(1, 2)  # path 0-2-1; vertex 2 now complete for {0,1}
-    assert state.partial_set(0, 1) == set()
-
-
-def test_partial_set_rejects_edges():
-    state = new_process(4, seed=1)
-    state.force_step(0, 1)
-    with pytest.raises(ValueError, match="non-edge"):
-        state.partial_set(0, 1)
-
-
 def test_open_pair_count_after_one_step():
-    state = new_process(4, seed=3)
+    state = ProcessState(4, seed=3)
     state.step()
     assert state.open_pairs == 5  # one edge, nothing closed yet
-
-
-def test_closure_probability_fresh_is_zero():
-    state = new_process(5, seed=1)
-    assert state.closure_probability_estimate(0, 1) == 0
-
-
-def test_closure_probability_exact_half():
-    # n=3 with edge {0,2}: open pairs are {0,1} and {1,2};
-    # inserting {1,2} closes {0,1}, so the estimate for {0,1} is 1/2
-    state = new_process(3, seed=1)
-    state.force_step(0, 2)
-    estimate = state.closure_probability_estimate(0, 1)
-    assert estimate == Fraction(1, 2)
-    assert isinstance(estimate, Fraction)
-
-
-def test_closure_probability_rejects_non_open():
-    state = new_process(3, seed=1)
-    state.force_step(0, 1)
-    state.force_step(1, 2)
-    with pytest.raises(ValueError):
-        state.closure_probability_estimate(0, 2)  # closed
-    with pytest.raises(ValueError):
-        state.closure_probability_estimate(0, 1)  # edge
 
 
 # ----------------------------------------------------------------------
 # audit
 
 def test_audit_clean_after_runs():
-    state = new_process(30, seed=8)
+    state = ProcessState(30, seed=8)
     state.run(Saturation())
     report = state.audit(state.total_pairs)
     assert report.ok
@@ -309,7 +248,7 @@ def test_run_returns_on_store_with_too_few_open_pairs():
     # Q promises an open pair the masks no longer hold: stepping must end
     # (the index is rebuilt from the masks) and the audit must say so
     for n, steps in ((10, 5), (40, 100)):
-        state = new_process(n, seed=8)
+        state = ProcessState(n, seed=8)
         state.run(Steps(steps))
         clear_open_bit(state)
         outcome = state.run(Saturation())
@@ -320,7 +259,7 @@ def test_run_returns_on_store_with_too_few_open_pairs():
 
 def test_audit_detects_corrupted_status():
     for one_sided in (False, True):
-        state = new_process(10, seed=8)
+        state = ProcessState(10, seed=8)
         state.run(Steps(5))
         clear_open_bit(state, one_sided)
         report = state.audit(state.total_pairs)
@@ -353,7 +292,7 @@ def test_audit_matches_per_pair_reference():
     n = 70  # rows past one machine word
     sampled_hits = 0
     for seed in range(5):
-        state = new_process(n, seed=seed)
+        state = ProcessState(n, seed=seed)
         state.run(Steps(150))
         rng = random.Random(seed)
         # flip OPEN or EDGE bits in one or both endpoints' rows
@@ -377,12 +316,12 @@ def test_audit_matches_per_pair_reference():
 
 
 def test_audit_detects_planted_triangle():
-    state = new_process(6, seed=8)
+    state = ProcessState(6, seed=8)
     state.force_step(0, 1)
     state.force_step(1, 2)
-    # the log is read-only from outside: appending to it must fail loudly
+    # the log is read-only from outside: its public view has no append
     with pytest.raises(AttributeError):
-        state.edge_log.append((0, 2))
+        state.iter_edges().append((0, 2))
     # plant a triangle in the log's columns without telling the status store
     state._log_u.append(0)
     state._log_v.append(2)
@@ -392,7 +331,7 @@ def test_audit_detects_planted_triangle():
 
 
 def test_audit_sampling_subset():
-    state = new_process(40, seed=8)
+    state = ProcessState(40, seed=8)
     state.run(Steps(30))
     report = state.audit(17, rng=random.Random(1))
     assert report.pairs_checked == 17
@@ -405,7 +344,7 @@ def test_audit_sampling_subset():
 def stale_index_state():
     """n = 8 with eight forced edges: the index is still range(28), and
     most of its entries are no longer OPEN."""
-    state = new_process(8, seed=4)
+    state = ProcessState(8, seed=4)
     for u, v in ((0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (1, 4), (6, 7), (2, 7)):
         state.force_step(u, v)
     assert state._open == range(state.total_pairs)
@@ -447,11 +386,11 @@ def test_sample_open_pairs_is_uniform():
 # reproducibility
 
 def test_same_seed_reproduces_edge_log():
-    a = new_process(40, seed=123)
-    b = new_process(40, seed=123)
+    a = ProcessState(40, seed=123)
+    b = ProcessState(40, seed=123)
     a.run(Saturation())
     b.run(Saturation())
-    assert a.edge_log == b.edge_log
+    assert edge_list(a) == edge_list(b)
 
 
 @pytest.mark.parametrize(
@@ -465,25 +404,25 @@ def test_edge_sequence_is_pinned(n, seed, steps, digest):
     # the draw's exact stream: any change to it breaks every recorded run
     state = ProcessState(n, seed)
     assert state.run(Saturation()).saturated
-    text = "".join(f"{u} {v}\n" for u, v in state.edge_log)
+    text = "".join(f"{u} {v}\n" for u, v in state.iter_edges())
     assert state.steps == steps
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_different_seeds_diverge():
-    a = new_process(40, seed=123)
-    b = new_process(40, seed=124)
+    a = ProcessState(40, seed=123)
+    b = ProcessState(40, seed=124)
     a.run(Saturation())
     b.run(Saturation())
-    assert a.edge_log != b.edge_log
+    assert edge_list(a) != edge_list(b)
 
 
 def test_stop_condition_only_truncates():
-    a = new_process(30, seed=55)
-    b = new_process(30, seed=55)
+    a = ProcessState(30, seed=55)
+    b = ProcessState(30, seed=55)
     a.run(Steps(10))
     b.run(Steps(25))
-    assert b.edge_log[:10] == a.edge_log
+    assert edge_list(b)[:10] == edge_list(a)
 
 
 # ----------------------------------------------------------------------
@@ -492,7 +431,7 @@ def test_stop_condition_only_truncates():
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 10), seed=st.integers(0, 2**63 - 1))
 def test_full_run_invariants(n, seed):
-    state = new_process(n, seed)
+    state = ProcessState(n, seed)
     total = n * (n - 1) // 2
     closed_before: set = set()
     while True:
@@ -531,22 +470,16 @@ def test_full_run_invariants(n, seed):
                 closed_now.add((a, b))
         assert sum(counts.values()) == total
 
-        # partial-vertex counts and sets against a loop over the edge log
+        # the masks' partial vertices of every non-edge, as two disjoint
+        # masks, against a loop over the edge log
+        adj, opn = state.edge_masks, state.open_masks
         for a, b in combinations(range(n), 2):
             if rows[a] >> b & 1:
                 continue
-            reference = {
-                w
-                for w in range(n)
-                if w not in (a, b)
-                and {
-                    ground_truth_status(rows, *sorted((a, w))),
-                    ground_truth_status(rows, *sorted((b, w))),
-                }
-                == {PairStatus.EDGE, PairStatus.OPEN}
-            }
-            assert state.partial_set(a, b) == reference
-            assert state.partial_count(a, b) == len(reference)
+            reference = oracle_partial_vertices(rows, a, b)
+            via_a, via_b = adj[a] & opn[b], adj[b] & opn[a]
+            assert {w for w in range(n) if (via_a | via_b) >> w & 1} == reference
+            assert via_a.bit_count() + via_b.bit_count() == len(reference)
         assert counts[PairStatus.OPEN] == state.open_pairs
         assert counts[PairStatus.EDGE] == state.steps
 
@@ -574,10 +507,31 @@ def test_full_run_invariants(n, seed):
     assert report.ok
 
 
+@pytest.mark.parametrize("n", [4, 7, 12])
+def test_checkpoint_y_samples_match_the_edge_log(n):
+    # asked for at least Q samples, take_checkpoint measures every open
+    # pair: its |Y| values must be the edge-log oracle's, at every step
+    params = TrajectoryParams(n)
+    for seed in range(5):
+        state = ProcessState(n, seed)
+        while True:
+            rows = log_rows(state)
+            expected = sorted(
+                len(oracle_partial_vertices(rows, a, b))
+                for a, b in all_pairs(n)
+                if ground_truth_status(rows, a, b) == PairStatus.OPEN
+            )
+            count = state.open_pairs + seed % 2
+            cp = take_checkpoint(state, params, count, random.Random(seed))
+            assert sorted(cp.y_samples) == expected
+            if state.step() is None:
+                break
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(3, 12), seed=st.integers(0, 2**32))
 def test_open_count_strictly_decreases(n, seed):
-    state = new_process(n, seed)
+    state = ProcessState(n, seed)
     previous = state.open_pairs
     while (result := state.step()) is not None:
         assert state.open_pairs <= previous - 1

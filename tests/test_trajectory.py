@@ -230,11 +230,6 @@ def test_step_horizon_rejects_n_below_two():
         step_horizon(1)
 
 
-def test_step_horizon_log_base_configurable():
-    expected = int(1024 * math.sqrt(math.log2(1024)))
-    assert step_horizon(1024, log=math.log2) == expected
-
-
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(8, 5000))
 def test_step_horizon_monotone_and_ratio(n):
@@ -328,11 +323,10 @@ def test_measurement_rng_does_not_touch_process_stream():
         take_checkpoint(a, params, 50, rng)  # only a is measured
         a.audit(100, rng)
         blocked_placements(a, pattern, 20, rng)
-        for u, v in a.sample_open_pairs(3, rng):
-            a.partial_set(u, v)
+        a.sample_open_pairs(3, rng)
     assert all_open_checkpoints > 0
     b.run(Saturation())
-    assert a.edge_log == b.edge_log
+    assert list(a.iter_edges()) == list(b.iter_edges())
 
 
 # ----------------------------------------------------------------------
