@@ -41,10 +41,8 @@ from .patterns import (
     blocked_placements,
     classify_placement,
     complete_bipartite_pattern,
-    count_copies,
     cycle_pattern,
     find_copy,
-    heavy_neighbors,
     load_pattern_file,
     make_pattern,
     max_edges_k_subset,

@@ -45,66 +45,75 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, required=True, help="vertex count (>= 2)")
-    parser.add_argument(
+def build_parser() -> _Parser:
+    parser = _Parser(prog="trifree", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    # flags shared through `parents=`: `run` and `audit` take one n, every
+    # stepping command takes `stepping`, and the commands that measure and
+    # write runs take `measuring`
+    one_n = argparse.ArgumentParser(add_help=False)
+    one_n.add_argument("--n", type=int, required=True, help="vertex count (>= 2)")
+    stepping = argparse.ArgumentParser(add_help=False)
+    stepping.add_argument(
         "--seed",
         type=int,
         default=DEFAULT_SEED,
         help=f"base RNG seed (default {DEFAULT_SEED}, fixed, never time-based)",
     )
-    parser.add_argument(
+    stepping.add_argument(
         "--stop",
         default="saturation",
         help="saturation | steps:K | horizon:X (multiple of the tracking horizon)",
     )
-    parser.add_argument(
+    stepping.add_argument(
         "--checkpoint-every",
         type=int,
         default=None,
         metavar="K",
         help="checkpoint cadence in steps (default: ceil(horizon/50))",
     )
-    parser.add_argument(
+    measuring = argparse.ArgumentParser(add_help=False)
+    measuring.add_argument(
         "--y-samples",
         type=int,
         default=DEFAULT_Y_SAMPLES,
         metavar="K",
         help="open pairs sampled per checkpoint",
     )
-    parser.add_argument(
+    measuring.add_argument(
         "--pattern",
         action="append",
         default=[],
         metavar="FILE",
         help="pattern file to monitor (repeatable)",
     )
-    parser.add_argument(
+    measuring.add_argument(
         "--pattern-until-horizon",
         action="store_true",
         help="stop searching for pattern copies past the tracking horizon "
         "(recommended for dense patterns on long runs)",
     )
-    parser.add_argument(
+    measuring.add_argument(
+        "--out", default="trifree_out", metavar="DIR", help="output directory"
+    )
+
+    run_p = sub.add_parser(
+        "run", parents=[one_n, stepping, measuring], help="single simulation run"
+    )
+    run_p.add_argument(
         "--placement-samples",
         type=int,
         default=DEFAULT_PLACEMENT_SAMPLES,
         metavar="K",
         help="random placements classified at the horizon per pattern",
     )
-    parser.add_argument(
-        "--out", default="trifree_out", metavar="DIR", help="output directory"
+
+    sweep_p = sub.add_parser(
+        "sweep",
+        parents=[stepping, measuring],
+        help="grid of runs over n values and seeds",
     )
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="trifree", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="single simulation run")
-    _add_common_run_flags(run_p)
-
-    sweep_p = sub.add_parser("sweep", help="grid of runs over n values and seeds")
     sweep_p.add_argument(
         "--n",
         type=int,
@@ -114,23 +123,11 @@ def build_parser() -> _Parser:
         help="vertex count (repeat for several)",
     )
     sweep_p.add_argument("--seeds-per-n", type=int, default=10, metavar="K")
-    sweep_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sweep_p.add_argument("--stop", default="saturation")
-    sweep_p.add_argument("--checkpoint-every", type=int, default=None, metavar="K")
-    sweep_p.add_argument("--y-samples", type=int, default=DEFAULT_Y_SAMPLES)
-    sweep_p.add_argument(
-        "--pattern", action="append", default=[], metavar="FILE",
-        help="pattern file to monitor in every run (repeatable)",
-    )
-    sweep_p.add_argument("--pattern-until-horizon", action="store_true")
     sweep_p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    sweep_p.add_argument("--out", default="trifree_out", metavar="DIR")
 
-    audit_p = sub.add_parser("audit", help="run with ground-truth audits")
-    audit_p.add_argument("--n", type=int, required=True)
-    audit_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    audit_p.add_argument("--stop", default="saturation")
-    audit_p.add_argument("--checkpoint-every", type=int, default=None, metavar="K")
+    audit_p = sub.add_parser(
+        "audit", parents=[one_n, stepping], help="run with ground-truth audits"
+    )
     audit_p.add_argument(
         "--oracle",
         action="store_true",

@@ -164,7 +164,6 @@ class RunResult:
     summary: RunSummary
     checkpoints: list[Checkpoint]
     state: ProcessState
-    trackers: list[FirstAppearanceTracker]
 
 
 def _resolve_stop(stop: StopCondition | Horizon, horizon: int) -> StopCondition:
@@ -192,14 +191,13 @@ def run_simulation(config: RunConfig) -> RunResult:
     started = time.perf_counter()
     params = TrajectoryParams(config.n)
     horizon = params.horizon
-    state = ProcessState(config.n, config.seed)
-    rng = measurement_rng(config.seed)
-
     until = horizon if config.pattern_until_horizon else None
     trackers = [
         FirstAppearanceTracker(p, until_step=until)
         for p in load_patterns(config.patterns)
     ]
+    state = ProcessState(config.n, config.seed)
+    rng = measurement_rng(config.seed)
 
     cadence = config.checkpoint_every or default_cadence(horizon)
     grid = grid_steps(config.n, grid_times())
@@ -244,9 +242,7 @@ def run_simulation(config: RunConfig) -> RunResult:
         checkpoint_path=None,
         duration_seconds=time.perf_counter() - started,
     )
-    return RunResult(
-        summary=summary, checkpoints=checkpoints, state=state, trackers=trackers
-    )
+    return RunResult(summary=summary, checkpoints=checkpoints, state=state)
 
 
 # ----------------------------------------------------------------------
@@ -282,8 +278,8 @@ def write_run_artifacts(result: RunResult, out_dir: Path) -> RunSummary:
 
 
 def cmd_run(config: RunConfig, out_dir: Path) -> RunSummary:
-    """Single run entry point: validate patterns first, then simulate and write."""
-    load_patterns(config.patterns)  # fail before simulating on bad files
+    """Single run entry point: simulate (pattern files load before the first
+    step), then write."""
     result = run_simulation(config)
     return write_run_artifacts(result, out_dir)
 

@@ -6,16 +6,19 @@ every pattern edge as a graph edge (non-induced).  Because closed pairs
 never become edges, a placement with any pattern edge on a closed pair
 is permanently blocked: no copy can ever appear on those positions.
 
-The search machinery is plain backtracking with degree pruning and
-candidate ordering by constraint count.  Graphs are read as bitmask
-rows (bit w of row v set iff {v, w} is an edge, as in
-`ProcessState.edge_masks`): the candidates for a pattern vertex are the
-AND of its placed neighbours' rows minus the used vertices, and a
+Patterns and graphs alike are bitmask rows (bit w of row v set iff
+{v, w} is an edge, as in `ProcessState.edge_masks` and `Pattern.rows`).
+One backtracking search, with degree pruning and candidate ordering by
+constraint count, returns the first copy: the candidates for a pattern
+vertex are the AND of its placed neighbours' rows minus the used
+vertices.  It serves three callers.  `find_copy` searches a whole graph.
+`FirstAppearanceTracker` runs it incrementally: after inserting an edge,
+only copies whose image uses that edge are searched, anchored at one
+pattern edge orientation per automorphism orbit.  And those orbits come
+from the same search run on the pattern's own rows, since a bijection of
+the k pattern vertices that maps edges to edges is an automorphism.  A
 placement is classified by comparing, per pattern vertex, the mask of
-its neighbours' images against the open and edge rows.  Appearance
-tracking during a run is incremental: after inserting an edge, only
-copies whose image uses that edge need to be searched, anchored at
-automorphism-distinct pattern edge orientations.
+its neighbours' images against the open and edge rows.
 """
 
 from __future__ import annotations
@@ -51,20 +54,21 @@ class Pattern:
         return len(self.edges)
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.k)]
+    def rows(self) -> tuple[int, ...]:
+        """Edge rows: bit b of row a is set iff {a, b} is a pattern edge."""
+        rows = [0] * self.k
         for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return tuple(frozenset(s) for s in adj)
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        return tuple(rows)
 
     @cached_property
     def later_neighbours(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """(a, neighbours of a above a) for every vertex a that has some."""
         return tuple(
             (a, later)
-            for a, nbrs in enumerate(self.adjacency)
-            if (later := tuple(sorted(b for b in nbrs if b > a)))
+            for a, row in enumerate(self.rows)
+            if (later := tuple(b for b in range(a + 1, self.k) if row >> b & 1))
         )
 
     @property
@@ -84,7 +88,6 @@ def make_pattern(k: int, edges: list[tuple[int, int]], name: str = "") -> Patter
     if not edges:
         raise PatternError("pattern needs at least one edge")
     seen: set[tuple[int, int]] = set()
-    adj: list[set[int]] = [set() for _ in range(k)]
     for a, b in edges:
         if a == b:
             raise PatternError(f"self-loop at vertex {a}")
@@ -94,16 +97,16 @@ def make_pattern(k: int, edges: list[tuple[int, int]], name: str = "") -> Patter
         if key in seen:
             raise PatternError(f"duplicate edge {key}")
         seen.add(key)
-        adj[a].add(b)
-        adj[b].add(a)
-    for a, b in sorted(seen):
-        common = adj[a] & adj[b]
+    pattern = Pattern(k=k, edges=tuple(sorted(seen)), name=name)
+    rows = pattern.rows
+    for a, b in pattern.edges:
+        common = rows[a] & rows[b]
         if common:
-            w = min(common)
+            w = (common & -common).bit_length() - 1  # the lowest third vertex
             raise PatternError(
                 f"not triangle-free: vertices ({a}, {b}, {w}) form a triangle"
             )
-    return Pattern(k=k, edges=tuple(sorted(seen)), name=name)
+    return pattern
 
 
 def parse_pattern(text: str, name: str = "") -> Pattern:
@@ -138,10 +141,7 @@ def parse_pattern(text: str, name: str = "") -> Pattern:
     k, e = header
     if len(edges) != e:
         raise PatternError(f"header declares {e} edges but {len(edges)} were given")
-    try:
-        return make_pattern(k, edges, name=name)
-    except PatternError as err:
-        raise PatternError(str(err)) from None
+    return make_pattern(k, edges, name=name)
 
 
 def load_pattern_file(path: str) -> Pattern:
@@ -187,6 +187,14 @@ def complete_bipartite_pattern(a: int, b: int) -> Pattern:
 # ----------------------------------------------------------------------
 # copy search
 
+def _mask(vertices) -> int:
+    """The row with exactly the bits of `vertices` set."""
+    row = 0
+    for a in vertices:
+        row |= 1 << a
+    return row
+
+
 def _build_order(
     pattern: Pattern, anchored: tuple[int, int] | None
 ) -> list[tuple[int, tuple[int, ...], int]]:
@@ -196,47 +204,44 @@ def _build_order(
     With no anchor the order covers every vertex (the first entry has no
     constraints); with an anchor it covers the k-2 remaining vertices.
     """
-    adj = pattern.adjacency
+    rows = pattern.rows
     placed: list[int] = list(anchored) if anchored else []
+    placed_mask = _mask(placed)
     remaining = [a for a in range(pattern.k) if a not in placed]
     order: list[tuple[int, tuple[int, ...], int]] = []
     while remaining:
-        placed_set = set(placed)
         best = max(
             remaining,
-            key=lambda a: (len(adj[a] & placed_set), len(adj[a])),
+            key=lambda a: ((rows[a] & placed_mask).bit_count(), rows[a].bit_count()),
         )
-        nbrs = tuple(b for b in placed if b in adj[best])
-        order.append((best, nbrs, len(adj[best])))
+        nbrs = tuple(b for b in placed if rows[best] >> b & 1)
+        order.append((best, nbrs, rows[best].bit_count()))
         placed.append(best)
+        placed_mask |= 1 << best
         remaining.remove(best)
     return order
 
 
 def _search(
-    rows: list[int],
+    rows: list[int] | tuple[int, ...],
     order: list[tuple[int, tuple[int, ...], int]],
     idx: int,
     assign: dict[int, int],
     used: int,
-    cap: int,
-    witness: list[dict[int, int]],
-) -> int:
-    """Count extensions of a partial assignment, stopping at cap.
+) -> dict[int, int] | None:
+    """The first extension of a partial assignment to a copy, or None.
 
     `rows` are the graph's edge rows and `used` is the mask of the
-    graph vertices the assignment already takes.
+    graph vertices the assignment already takes.  A copy found is
+    `assign` itself, completed.
     """
     if idx == len(order):
-        if not witness:
-            witness.append(dict(assign))
-        return 1
+        return assign
     pv, nbrs, mindeg = order[idx]
     candidates = (1 << len(rows)) - 1
     for b in nbrs:
         candidates &= rows[assign[b]]
     candidates &= ~used
-    found = 0
     while candidates:
         c = candidates.bit_length() - 1
         bit = 1 << c
@@ -244,11 +249,10 @@ def _search(
         if rows[c].bit_count() < mindeg:
             continue
         assign[pv] = c
-        found += _search(rows, order, idx + 1, assign, used | bit, cap - found, witness)
+        if _search(rows, order, idx + 1, assign, used | bit) is not None:
+            return assign
         del assign[pv]
-        if found >= cap:
-            break
-    return found
+    return None
 
 
 def find_copy(rows: list[int], pattern: Pattern) -> tuple[int, ...] | None:
@@ -259,60 +263,8 @@ def find_copy(rows: list[int], pattern: Pattern) -> tuple[int, ...] | None:
     """
     if pattern.k > len(rows):
         return None
-    order = _build_order(pattern, anchored=None)
-    witness: list[dict[int, int]] = []
-    if _search(rows, order, 0, {}, 0, 1, witness):
-        mapping = witness[0]
-        return tuple(mapping[a] for a in range(pattern.k))
-    return None
-
-
-def count_copies(rows: list[int], pattern: Pattern, cap: int) -> int:
-    """Exact count of labelled copies (injective placements), capped."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    if pattern.k > len(rows):
-        return 0
-    order = _build_order(pattern, anchored=None)
-    return _search(rows, order, 0, {}, 0, cap, [])
-
-
-# ----------------------------------------------------------------------
-# automorphism-distinct anchor orientations
-
-def _automorphism_with(pattern: Pattern, pre: dict[int, int]) -> bool:
-    """Is there an automorphism extending the given partial vertex map?"""
-    adj = pattern.adjacency
-    for a, fa in pre.items():
-        if len(adj[a]) != len(adj[fa]):
-            return False
-    for (a, fa), (b, fb) in itertools.combinations(pre.items(), 2):
-        if (b in adj[a]) != (fb in adj[fa]):
-            return False
-
-    rest = [a for a in range(pattern.k) if a not in pre]
-    rest.sort(key=lambda a: -len(adj[a]))
-    assign = dict(pre)
-    used = set(pre.values())
-
-    def extend(idx: int) -> bool:
-        if idx == len(rest):
-            return True
-        a = rest[idx]
-        for c in range(pattern.k):
-            if c in used or len(adj[c]) != len(adj[a]):
-                continue
-            if any((b in adj[a]) != (fb in adj[c]) for b, fb in assign.items()):
-                continue
-            assign[a] = c
-            used.add(c)
-            if extend(idx + 1):
-                return True
-            used.discard(c)
-            del assign[a]
-        return False
-
-    return extend(0)
+    copy = _search(rows, _build_order(pattern, anchored=None), 0, {}, 0)
+    return None if copy is None else tuple(copy[a] for a in range(pattern.k))
 
 
 def anchor_orientations(pattern: Pattern) -> list[tuple[int, int]]:
@@ -320,17 +272,20 @@ def anchor_orientations(pattern: Pattern) -> list[tuple[int, int]]:
 
     Anchoring an incremental search at these orientations covers every
     way a new graph edge can sit inside a copy; edge-transitive patterns
-    collapse to a single anchor.
+    collapse to a single anchor.  (x, y) and (c, d) share an orbit iff
+    the pattern has a copy in itself that takes x to c and y to d: that
+    copy is a bijection of the k vertices mapping edges to edges, which
+    is an automorphism.
     """
-    reps: list[tuple[int, int]] = []
+    reps: list[tuple[tuple[int, int], list]] = []
     for a, b in pattern.edges:
-        for pair in ((a, b), (b, a)):
-            if not any(
-                _automorphism_with(pattern, {rep[0]: pair[0], rep[1]: pair[1]})
-                for rep in reps
+        for c, d in ((a, b), (b, a)):
+            if all(
+                _search(pattern.rows, order, 0, {x: c, y: d}, 1 << c | 1 << d) is None
+                for (x, y), order in reps
             ):
-                reps.append(pair)
-    return reps
+                reps.append(((c, d), _build_order(pattern, anchored=(c, d))))
+    return [pair for pair, _ in reps]
 
 
 class FirstAppearanceTracker:
@@ -365,17 +320,19 @@ class FirstAppearanceTracker:
             return False
         if self.pattern.k > len(rows):
             return False
-        pattern_adj = self.pattern.adjacency
+        pattern_rows = self.pattern.rows
         deg_u = rows[u].bit_count()
         deg_v = rows[v].bit_count()
         for (a, b), order in self._anchors:
-            if deg_u < len(pattern_adj[a]) or deg_v < len(pattern_adj[b]):
+            if (
+                deg_u < pattern_rows[a].bit_count()
+                or deg_v < pattern_rows[b].bit_count()
+            ):
                 continue
-            witness: list[dict[int, int]] = []
-            if _search(rows, order, 0, {a: u, b: v}, 1 << u | 1 << v, 1, witness):
-                mapping = witness[0]
+            copy = _search(rows, order, 0, {a: u, b: v}, 1 << u | 1 << v)
+            if copy is not None:
                 self.first_step = step
-                self.witness = tuple(mapping[x] for x in range(self.pattern.k))
+                self.witness = tuple(copy[x] for x in range(self.pattern.k))
                 return True
         return False
 
@@ -392,14 +349,6 @@ class KSubsetResult:
     exact: bool
 
 
-def _mask(vertices) -> int:
-    """The row with exactly the bits of `vertices` set."""
-    row = 0
-    for a in vertices:
-        row |= 1 << a
-    return row
-
-
 def _spanned_edges(rows: list[int], vertices: tuple[int, ...]) -> int:
     inside = _mask(vertices)
     return sum((rows[a] & inside).bit_count() for a in vertices) // 2
@@ -411,7 +360,6 @@ def max_edges_k_subset(
     mode: str = "exact",
     restarts: int = 100,
     rng: random.Random | None = None,
-    exact_guard: int = EXACT_SUBSET_GUARD,
 ) -> KSubsetResult:
     """Maximum number of edges spanned by any k-subset of the graph with
     edge rows `rows`.
@@ -425,10 +373,10 @@ def max_edges_k_subset(
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
 
     if mode == "exact":
-        if math.comb(n, k) > exact_guard:
+        if math.comb(n, k) > EXACT_SUBSET_GUARD:
             raise ValueError(
                 f"C({n}, {k}) = {math.comb(n, k)} subsets exceed the exact "
-                f"guard ({exact_guard}); use mode='local' for a lower bound"
+                f"guard ({EXACT_SUBSET_GUARD}); use mode='local' for a lower bound"
             )
         best = -1
         best_w: tuple[int, ...] = ()
@@ -485,20 +433,6 @@ def max_edges_k_subset(
             best = _spanned_edges(rows, candidate)
             best_w = candidate
     return KSubsetResult(edges=best, vertices=best_w, exact=False)
-
-
-def heavy_neighbors(
-    rows: list[int], subset: set[int] | frozenset[int], threshold: int = 6
-) -> set[int]:
-    """Vertices outside the subset with more than `threshold` neighbours in it."""
-    if not subset:
-        raise ValueError("subset must be nonempty")
-    inside = _mask(subset)
-    return {
-        y
-        for y, row in enumerate(rows)
-        if not inside >> y & 1 and (row & inside).bit_count() > threshold
-    }
 
 
 # ----------------------------------------------------------------------

@@ -171,17 +171,11 @@ class ProcessState:
     edge log; measurement helpers never touch the process RNG.
     """
 
-    def __init__(
-        self,
-        n: int,
-        seed: int,
-        *,
-        memory_limit: int | None = None,
-    ) -> None:
-        """`memory_limit` is in bytes; None means this machine's physical memory."""
+    def __init__(self, n: int, seed: int) -> None:
+        """Rejects n < 2 and any n whose run would not fit in physical memory."""
         if n < 2:
             raise SizingError(f"need at least 2 vertices to form a pair, got n={n}")
-        limit = physical_memory_bytes() if memory_limit is None else memory_limit
+        limit = physical_memory_bytes()
         need = estimated_bytes(n)
         if limit is not None and need > limit:
             raise SizingError(

@@ -171,10 +171,6 @@ class TrajectoryParams:
     def horizon(self) -> int:
         return step_horizon(self.n)
 
-    @property
-    def horizon_time(self) -> float:
-        return scaled_time(self.horizon, self.n)
-
 
 @dataclass(frozen=True)
 class Checkpoint:

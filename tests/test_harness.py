@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import csv
 import hashlib
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from trifree import harness, oracle
-from trifree.cli import main
+from trifree.cli import build_parser, main
 from trifree.harness import (
     Horizon,
     RunConfig,
@@ -374,6 +375,51 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["bogus-command"]) == 1
     assert main(["run"]) == 1  # --n missing
     capsys.readouterr()
+
+
+def test_cli_options_per_command():
+    """Each subcommand's option strings, dests and defaults, pinned."""
+    parser = build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    options = {
+        name: {s for action in sub._actions for s in action.option_strings}
+        for name, sub in commands.items()
+    }
+    stepping = {"-h", "--help", "--n", "--seed", "--stop", "--checkpoint-every"}
+    measuring = {"--y-samples", "--pattern", "--pattern-until-horizon", "--out"}
+    assert options == {
+        "run": stepping | measuring | {"--placement-samples"},
+        "sweep": stepping | measuring | {"--seeds-per-n", "--jobs"},
+        "audit": stepping | {"--oracle", "--trials", "--tv-threshold"},
+        "pattern-check": {"-h", "--help"},
+    }
+    common = {
+        "seed": 1729,
+        "stop": "saturation",
+        "checkpoint_every": None,
+    }
+    written = {
+        "y_samples": 200,
+        "pattern": [],
+        "pattern_until_horizon": False,
+        "out": "trifree_out",
+    }
+    assert vars(parser.parse_args(["run", "--n", "5"])) == {
+        "command": "run", "n": 5, **common, **written, "placement_samples": 10_000
+    }
+    assert vars(parser.parse_args(["sweep", "--n", "5"])) == {
+        "command": "sweep", "n": [5], **common, **written, "seeds_per_n": 10, "jobs": 1
+    }
+    assert vars(parser.parse_args(["audit", "--n", "5"])) == {
+        "command": "audit",
+        "n": 5,
+        **common,
+        "oracle": False,
+        "trials": 100_000,
+        "tv_threshold": 0.02,
+    }
 
 
 def test_cli_sweep(tmp_path, capsys):

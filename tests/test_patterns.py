@@ -1,4 +1,4 @@
-"""Tests for pattern loading, copy search, density auditors, and blocking."""
+"""Tests for pattern loading, copy search, anchors, density auditors, and blocking."""
 
 from __future__ import annotations
 
@@ -17,10 +17,8 @@ from trifree.patterns import (
     blocked_placements,
     classify_placement,
     complete_bipartite_pattern,
-    count_copies,
     cycle_pattern,
     find_copy,
-    heavy_neighbors,
     load_pattern_file,
     make_pattern,
     max_edges_k_subset,
@@ -58,6 +56,34 @@ def brute_force_copy_count(rows, pattern):
         if all(rows[image[a]] >> image[b] & 1 for a, b in pattern.edges):
             count += 1
     return count
+
+
+def brute_force_edge_orbits(pattern):
+    """Oracle: the orbits of the ordered pattern edges under the automorphisms
+    found by trying every vertex permutation."""
+    edges = set(pattern.edges)
+    automorphisms = [
+        perm
+        for perm in itertools.permutations(range(pattern.k))
+        if {tuple(sorted((perm[a], perm[b]))) for a, b in edges} == edges
+    ]
+    ordered = list(edges) + [(b, a) for a, b in edges]
+    return {frozenset((perm[a], perm[b]) for perm in automorphisms) for a, b in ordered}
+
+
+def random_triangle_free_pattern(k, rng):
+    """Each pair, in random order, becomes an edge with probability 1/2
+    unless it would close a triangle."""
+    rows = [0] * k
+    edges = []
+    pairs = list(itertools.combinations(range(k), 2))
+    rng.shuffle(pairs)
+    for a, b in pairs:
+        if rng.random() < 0.5 and not rows[a] & rows[b]:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+            edges.append((a, b))
+    return make_pattern(k, edges or [(0, 1)])
 
 
 def brute_force_max_k_subset(rows, k):
@@ -157,6 +183,20 @@ def test_find_copy_c4_in_k22():
     assert all(rows[mapping[a]] >> mapping[b] & 1 for a, b in pattern.edges)
 
 
+def test_count_copies_c4_in_k22_is_eight():
+    # K_{2,2} holds 8 labelled copies of C4, and the search returns one of them
+    rows = rows_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    pattern = cycle_pattern(4)
+    assert brute_force_copy_count(rows, pattern) == 8
+    copies = {
+        perm
+        for perm in itertools.permutations(range(4))
+        if all(rows[perm[a]] >> perm[b] & 1 for a, b in pattern.edges)
+    }
+    assert len(copies) == 8
+    assert tuple(find_copy(rows, pattern)) in copies
+
+
 def test_find_copy_pattern_larger_than_graph():
     rows = rows_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert find_copy(rows, cycle_pattern(5)) is None
@@ -168,29 +208,9 @@ def test_find_copy_non_induced():
     assert find_copy(rows, cycle_pattern(4)) is not None
 
 
-def test_count_copies_single_edge_is_twice_edge_count():
-    edges = [(0, 1), (1, 2), (3, 4), (0, 4)]
-    rows = rows_from_edges(5, edges)
-    assert count_copies(rows, single_edge_pattern(), cap=10**6) == 2 * len(edges)
-
-
-def test_count_copies_c4_in_k22_is_eight():
-    rows = rows_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    pattern = cycle_pattern(4)
-    assert count_copies(rows, pattern, cap=10**6) == 8
-    assert brute_force_copy_count(rows, pattern) == 8
-
-
-def test_count_copies_empty_graph():
+def test_find_copy_empty_graph():
     rows = rows_from_edges(6, [])
-    assert count_copies(rows, cycle_pattern(4), cap=10) == 0
-
-
-def test_count_copies_cap():
-    rows = rows_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    assert count_copies(rows, cycle_pattern(4), cap=3) == 3
-    with pytest.raises(ValueError):
-        count_copies(rows, cycle_pattern(4), cap=0)
+    assert find_copy(rows, cycle_pattern(4)) is None
 
 
 def test_count_matches_brute_force_on_random_graphs():
@@ -202,8 +222,11 @@ def test_count_matches_brute_force_on_random_graphs():
         rows = rows_from_edges(n, edges)
         for pattern in patterns:
             expected = brute_force_copy_count(rows, pattern)
-            assert count_copies(rows, pattern, cap=10**6) == expected
-            assert (find_copy(rows, pattern) is None) == (expected == 0)
+            mapping = find_copy(rows, pattern)
+            assert (mapping is None) == (expected == 0)
+            if mapping is not None:
+                assert len(set(mapping)) == pattern.k
+                assert all(rows[mapping[a]] >> mapping[b] & 1 for a, b in pattern.edges)
 
 
 # ----------------------------------------------------------------------
@@ -215,6 +238,24 @@ def test_anchor_orientation_counts():
     assert len(anchor_orientations(complete_bipartite_pattern(6, 6))) == 1
     # P4 has automorphism group {id, reversal}: 6 ordered pairs, 3 orbits
     assert len(anchor_orientations(path_pattern(3))) == 3
+    # one anchor per orbit of ordered edges, checked against every vertex
+    # permutation
+    rng = random.Random(8)
+    patterns = [
+        cycle_pattern(4),
+        cycle_pattern(5),
+        cycle_pattern(6),
+        path_pattern(3),
+        path_pattern(4),
+        complete_bipartite_pattern(2, 3),
+        complete_bipartite_pattern(1, 4),
+    ] + [random_triangle_free_pattern(rng.randint(2, 7), rng) for _ in range(30)]
+    for pattern in patterns:
+        orbits = brute_force_edge_orbits(pattern)
+        orbit_of = {pair: orbit for orbit in orbits for pair in orbit}
+        anchors = anchor_orientations(pattern)
+        assert len(anchors) == len(orbits), pattern.edges
+        assert len({orbit_of[pair] for pair in anchors}) == len(anchors), pattern.edges
 
 
 def test_tracker_single_edge_fires_at_step_one():
@@ -334,7 +375,7 @@ def test_local_search_never_beats_exact():
 def test_exact_guard_points_at_local_search():
     rows = rows_from_edges(40, [(0, 1)])
     with pytest.raises(ValueError, match="local"):
-        max_edges_k_subset(rows, 20, mode="exact", exact_guard=1000)
+        max_edges_k_subset(rows, 20, mode="exact")
 
 
 def test_max_edges_argument_errors():
@@ -345,40 +386,6 @@ def test_max_edges_argument_errors():
         max_edges_k_subset(rows, 6)
     with pytest.raises(ValueError):
         max_edges_k_subset(rows, 3, mode="noexact")
-
-
-# ----------------------------------------------------------------------
-# heavy neighbours
-
-def test_heavy_neighbors_cases():
-    empty = rows_from_edges(8, [])
-    assert heavy_neighbors(empty, {0, 1, 2}) == set()
-    # star centre 0 with 7 leaves; the leaves as the subset
-    star = rows_from_edges(8, [(0, i) for i in range(1, 8)])
-    leaves = set(range(1, 8))
-    assert heavy_neighbors(star, leaves, threshold=6) == {0}
-    assert heavy_neighbors(star, leaves, threshold=7) == set()
-    with pytest.raises(ValueError):
-        heavy_neighbors(star, set())
-
-
-def test_heavy_neighbors_edge_count_arithmetic():
-    # K_{7,8}: subset = one side (size 7); every opposite vertex has 7 > 6
-    # neighbours inside, so all 8 are heavy, and the subset plus any 7 of
-    # them spans 49 > 42 edges
-    rows = rows_from_edges(
-        15, [(i, 7 + j) for i in range(7) for j in range(8)]
-    )
-    side = set(range(7))
-    heavy = heavy_neighbors(rows, side, threshold=6)
-    assert heavy == set(range(7, 15))
-    assert len(heavy) > 7
-    spanned = sum(
-        1
-        for a, b in itertools.combinations(sorted(side | set(list(heavy)[:7])), 2)
-        if rows[a] >> b & 1
-    )
-    assert spanned == 49 > 6 * 7
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trifree import process
 from trifree.process import (
     PairStatus,
     ProcessState,
@@ -81,15 +82,17 @@ def test_process_state_rejects_single_vertex():
         ProcessState(0, seed=0)
 
 
-def test_process_state_memory_guard():
+def test_process_state_memory_guard(monkeypatch):
     # 10^6 vertices need about 2.8e12 bytes, beyond any machine's memory
     with pytest.raises(SizingError, match="memory limit"):
         ProcessState(1_000_000, seed=0)
-    # the limit is in bytes, configurable, and the message names both numbers
+    # the limit is physical memory in bytes, and the message names both numbers
     need = estimated_bytes(11)
+    monkeypatch.setattr(process, "physical_memory_bytes", lambda: need - 1)
     with pytest.raises(SizingError, match=f"{need} bytes.*{need - 1} bytes"):
-        ProcessState(11, seed=0, memory_limit=need - 1)
-    assert ProcessState(11, seed=0, memory_limit=need).n == 11
+        ProcessState(11, seed=0)
+    monkeypatch.setattr(process, "physical_memory_bytes", lambda: need)
+    assert ProcessState(11, seed=0).n == 11
 
 
 @pytest.mark.parametrize("n", [300, 1000])

@@ -243,7 +243,7 @@ def test_step_horizon_monotone_and_ratio(n):
 def test_horizon_time_matches_coefficient(n):
     params = TrajectoryParams(n)
     expected = HORIZON_COEFFICIENT * math.sqrt(math.log(n))
-    assert abs(params.horizon_time - expected) <= 1.0 / n**1.5
+    assert abs(scaled_time(params.horizon, n) - expected) <= 1.0 / n**1.5
 
 
 # ----------------------------------------------------------------------
