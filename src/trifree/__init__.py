@@ -13,7 +13,6 @@ from .process import (
     AuditReport,
     PairStatus,
     ProcessState,
-    RunOutcome,
     Saturation,
     SizingError,
     StepResult,

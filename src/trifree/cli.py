@@ -23,9 +23,10 @@ from .harness import (
     DEFAULT_Y_SAMPLES,
     RunConfig,
     audit_run,
-    cmd_run,
     parse_stop,
+    run_simulation,
     sweep,
+    write_run_artifacts,
     write_sweep_files,
 )
 from .patterns import PatternError, load_pattern_file
@@ -153,7 +154,7 @@ def _do_run(args: argparse.Namespace) -> int:
         placement_samples=args.placement_samples,
         pattern_until_horizon=args.pattern_until_horizon,
     )
-    summary = cmd_run(config, Path(args.out))
+    summary = write_run_artifacts(run_simulation(config), Path(args.out))
     print(json.dumps(asdict(summary), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -231,19 +232,17 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    commands = {
+        "run": _do_run,
+        "sweep": _do_sweep,
+        "audit": _do_audit,
+        "pattern-check": _do_pattern_check,
+    }
     try:
-        if args.command == "run":
-            return _do_run(args)
-        if args.command == "sweep":
-            return _do_sweep(args)
-        if args.command == "audit":
-            return _do_audit(args)
-        if args.command == "pattern-check":
-            return _do_pattern_check(args)
+        return commands[args.command](args)
     except (ValueError, SizingError, PatternError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -38,22 +38,21 @@ from .process import (
     AuditReport,
     ProcessState,
     Saturation,
-    SizingError,
     StepResult,
     Steps,
     StopCondition,
+    check_fits,
     estimated_bytes,
-    physical_memory_bytes,
 )
 from .trajectory import (
     CHECKPOINT_COLUMNS,
+    GRID_TIMES,
     Checkpoint,
     TrajectoryParams,
     checkpoint_row,
     csv_field,
     default_cadence,
     grid_steps,
-    grid_times,
     take_checkpoint,
 )
 
@@ -63,7 +62,7 @@ DEFAULT_SEED = 1729
 MEASUREMENT_SEED_XOR = 0x9E3779B9
 DEFAULT_Y_SAMPLES = 200
 DEFAULT_PLACEMENT_SAMPLES = 10_000
-SWEEP_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
+SWEEP_GRID = GRID_TIMES[:5]
 
 
 @dataclass(frozen=True)
@@ -200,7 +199,7 @@ def run_simulation(config: RunConfig) -> RunResult:
     rng = measurement_rng(config.seed)
 
     cadence = config.checkpoint_every or default_cadence(horizon)
-    grid = grid_steps(config.n, grid_times())
+    grid = grid_steps(config.n, GRID_TIMES)
     checkpoints = [take_checkpoint(state, params, config.y_sample_count, rng)]
     blocked_at_horizon: dict[str, float | None] = {
         t.pattern.label: None for t in trackers
@@ -223,8 +222,8 @@ def run_simulation(config: RunConfig) -> RunResult:
         if i % cadence == 0 or i in grid:
             checkpoints.append(take_checkpoint(st, params, config.y_sample_count, rng))
 
-    outcome = state.run(_resolve_stop(config.stop, horizon), on_step=hook)
-    if checkpoints[-1].step != outcome.steps:
+    state.run(_resolve_stop(config.stop, horizon), on_step=hook)
+    if checkpoints[-1].step != state.steps:
         checkpoints.append(take_checkpoint(state, params, config.y_sample_count, rng))
 
     summary = RunSummary(
@@ -232,8 +231,8 @@ def run_simulation(config: RunConfig) -> RunResult:
         n=config.n,
         seed=config.seed,
         stop=stop_label(config.stop),
-        final_step=outcome.steps,
-        saturated=outcome.saturated,
+        final_step=state.steps,
+        saturated=state.open_pairs == 0,
         final_edge_count=state.steps,
         horizon=horizon,
         blocking_window_start=math.ceil(config.n ** (4 / 3)),
@@ -248,40 +247,33 @@ def run_simulation(config: RunConfig) -> RunResult:
 # ----------------------------------------------------------------------
 # file output
 
-def write_checkpoints_csv(path: Path, checkpoints: list[Checkpoint]) -> None:
+def _write_csv(path: Path, header: Iterable[str], rows: Iterable[list[str]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CHECKPOINT_COLUMNS)
-        for cp in checkpoints:
-            writer.writerow(checkpoint_row(cp))
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def write_edge_log(path: Path, edges: Iterable[tuple[int, int]]) -> None:
+def _write_json(path: Path, data: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for step, (u, v) in enumerate(edges, start=1):
-            fh.write(f"{step} {u} {v}\n")
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_run_artifacts(result: RunResult, out_dir: Path) -> RunSummary:
     """Write checkpoints.csv, edges.log, and summary.json; returns the summary."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    checkpoint_path = out_dir / "checkpoints.csv"
-    write_checkpoints_csv(checkpoint_path, result.checkpoints)
-    write_edge_log(out_dir / "edges.log", result.state.iter_edges())
-    summary = replace(result.summary, checkpoint_path=str(checkpoint_path))
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = out_dir / "checkpoints.csv"
+    _write_csv(path, CHECKPOINT_COLUMNS, map(checkpoint_row, result.checkpoints))
+    # streamed from the log's columns, one line at a time
+    with open(out_dir / "edges.log", "w", encoding="utf-8") as fh:
+        for step, (u, v) in enumerate(result.state.iter_edges(), start=1):
+            fh.write(f"{step} {u} {v}\n")
+    summary = replace(result.summary, checkpoint_path=str(path))
+    _write_json(out_dir / "summary.json", asdict(summary))
     result.summary = summary
     return summary
-
-
-def cmd_run(config: RunConfig, out_dir: Path) -> RunSummary:
-    """Single run entry point: simulate (pattern files load before the first
-    step), then write."""
-    result = run_simulation(config)
-    return write_run_artifacts(result, out_dir)
 
 
 # ----------------------------------------------------------------------
@@ -299,19 +291,6 @@ SWEEP_COLUMNS = (
     *(f"rel_q_t{t:g}" for t in SWEEP_GRID),
     *(f"rel_y_t{t:g}" for t in SWEEP_GRID),
 )
-
-
-def _gridpoint_residuals(
-    checkpoints: list[Checkpoint], n: int
-) -> dict[float, tuple[float | None, float | None]]:
-    """rel_q and rel_y at each sweep gridpoint reached by the run."""
-    steps = grid_steps(n, list(SWEEP_GRID))
-    by_step = {cp.step: cp for cp in checkpoints}
-    out: dict[float, tuple[float | None, float | None]] = {}
-    for step, t in steps.items():
-        cp = by_step.get(step)
-        out[t] = (cp.rel_q, cp.rel_y) if cp is not None else (None, None)
-    return out
 
 
 def _sweep_worker(config: RunConfig) -> dict:
@@ -338,10 +317,12 @@ def _sweep_worker(config: RunConfig) -> dict:
         row["c_n"] = summary.final_edge_count / (
             summary.n**1.5 * math.sqrt(math.log(summary.n))
         )
-    residuals = _gridpoint_residuals(result.checkpoints, summary.n)
-    for t, (rel_q, rel_y) in residuals.items():
-        row[f"rel_q_t{t:g}"] = rel_q
-        row[f"rel_y_t{t:g}"] = rel_y
+    # the residuals at each sweep grid step; None where the run stopped short
+    by_step = {cp.step: cp for cp in result.checkpoints}
+    for step, t in grid_steps(summary.n, SWEEP_GRID).items():
+        cp = by_step.get(step)
+        row[f"rel_q_t{t:g}"] = cp.rel_q if cp else None
+        row[f"rel_y_t{t:g}"] = cp.rel_y if cp else None
     return row
 
 
@@ -367,13 +348,10 @@ def sweep(
             index = ni * seeds_per_n + s
             configs.append(replace(template, n=n, seed=template.seed + index))
     workers = min(jobs, len(configs)) if jobs > 1 else 1
-    need = estimated_bytes(max(n_values)) * workers
-    limit = physical_memory_bytes()
-    if limit is not None and need > limit:
-        raise SizingError(
-            f"{workers} concurrent run(s) at n={max(n_values)} need about "
-            f"{need} bytes, more than the {limit} bytes of physical memory"
-        )
+    check_fits(
+        estimated_bytes(max(n_values)) * workers,
+        f"{workers} concurrent run(s) at n={max(n_values)}",
+    )
     if jobs > 1:
         with Pool(processes=jobs) as pool:
             rows = pool.map(_sweep_worker, configs)
@@ -384,20 +362,12 @@ def sweep(
     for n in n_values:
         ok_rows = [r for r in rows if r["n"] == n and r["status"] == "ok"]
         entry: dict = {"n": n, "runs": seeds_per_n, "ok": len(ok_rows)}
-        c_values = [r["c_n"] for r in ok_rows if r.get("c_n") is not None]
-        if c_values:
-            entry["c_mean"] = fmean(c_values)
-            entry["c_std"] = pstdev(c_values)
-        for t in SWEEP_GRID:
-            for kind in ("rel_q", "rel_y"):
-                values = [
-                    r[f"{kind}_t{t:g}"]
-                    for r in ok_rows
-                    if r.get(f"{kind}_t{t:g}") is not None
-                ]
-                if values:
-                    entry[f"{kind}_t{t:g}_mean"] = fmean(values)
-                    entry[f"{kind}_t{t:g}_std"] = pstdev(values)
+        for column in SWEEP_COLUMNS[SWEEP_COLUMNS.index("c_n"):]:
+            values = [r[column] for r in ok_rows if r.get(column) is not None]
+            if values:
+                key = "c" if column == "c_n" else column
+                entry[f"{key}_mean"] = fmean(values)
+                entry[f"{key}_std"] = pstdev(values)
         aggregates.append(entry)
     return rows, aggregates
 
@@ -408,21 +378,15 @@ def write_sweep_files(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [csv_field(row.get(column)) for column in SWEEP_COLUMNS]
-            )
-    with open(out_dir / "sweep_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {"schema_version": SCHEMA_VERSION, "aggregates": aggregates},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_csv(
+        csv_path,
+        SWEEP_COLUMNS,
+        ([csv_field(row.get(column)) for column in SWEEP_COLUMNS] for row in rows),
+    )
+    _write_json(
+        out_dir / "sweep_summary.json",
+        {"schema_version": SCHEMA_VERSION, "aggregates": aggregates},
+    )
     return csv_path
 
 

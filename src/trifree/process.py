@@ -92,6 +92,16 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
+def check_fits(need: int, what: str) -> None:
+    """Raise SizingError when `need` bytes exceed physical memory."""
+    limit = physical_memory_bytes()
+    if limit is not None and need > limit:
+        raise SizingError(
+            f"{what} would need about {need} bytes, "
+            f"more than the memory limit of {limit} bytes"
+        )
+
+
 class PairStatus(IntEnum):
     OPEN = 0
     EDGE = 1
@@ -136,13 +146,6 @@ StopCondition = Saturation | Steps
 
 
 @dataclass(frozen=True)
-class RunOutcome:
-    steps: int
-    open_pairs: int
-    saturated: bool
-
-
-@dataclass(frozen=True)
 class AuditReport:
     """Result of recomputing pair statuses and triangle-freeness from scratch."""
 
@@ -175,13 +178,7 @@ class ProcessState:
         """Rejects n < 2 and any n whose run would not fit in physical memory."""
         if n < 2:
             raise SizingError(f"need at least 2 vertices to form a pair, got n={n}")
-        limit = physical_memory_bytes()
-        need = estimated_bytes(n)
-        if limit is not None and need > limit:
-            raise SizingError(
-                f"n={n} needs about {need} bytes to run, "
-                f"more than the memory limit of {limit} bytes"
-            )
+        check_fits(estimated_bytes(n), f"n={n}")
         self.n = n
         self.seed = seed
         total = n * (n - 1) // 2
@@ -234,12 +231,6 @@ class ProcessState:
     def open_masks(self) -> list[int]:
         """Row v has bit w set iff {v, w} is OPEN; the live store, not a copy."""
         return self._open_mask
-
-    def __repr__(self) -> str:
-        return (
-            f"ProcessState(n={self.n}, steps={self.steps}, "
-            f"open={self._open_count})"
-        )
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -384,8 +375,9 @@ class ProcessState:
         self,
         stop: StopCondition = Saturation(),
         on_step: Callable[["ProcessState", StepResult], None] | None = None,
-    ) -> RunOutcome:
-        """Step repeatedly until the stop condition or saturation.
+    ) -> "ProcessState":
+        """Step repeatedly until the stop condition or saturation; returns
+        the state, saturated iff `open_pairs == 0`.
 
         `on_step` fires after each insertion with the updated state.
         """
@@ -401,7 +393,7 @@ class ProcessState:
                 break
             if on_step is not None:
                 on_step(self, result)
-        return RunOutcome(self.steps, self._open_count, self._open_count == 0)
+        return self
 
     # ------------------------------------------------------------------
     # measurement

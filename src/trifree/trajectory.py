@@ -31,13 +31,17 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from statistics import fmean
 
 from .process import ProcessState
 
 HORIZON_COEFFICIENT = 1.0 / 32.0  # fixed constant in the tracking horizon
+
+# the scaled times at which every run takes a checkpoint, for comparisons
+# across runs
+GRID_TIMES = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8, 3.0)
 
 # exp() overflows doubles just above this; envelopes saturate to inf there
 _EXP_MAX = 709.0
@@ -189,7 +193,6 @@ class Checkpoint:
     q_pred: float
     q_env: float
     rel_q: float
-    y_samples: tuple[int, ...]
     y_mean: float | None
     y_pred: float
     y_env: float
@@ -197,23 +200,12 @@ class Checkpoint:
     formal_q_ok: bool
     formal_y_ok: bool | None
     env_vacuous: bool
+    y_samples: tuple[int, ...]  # last: the one field the CSV row leaves out
 
 
-CHECKPOINT_COLUMNS = (
-    "step",
-    "t",
-    "Q",
-    "q_pred",
-    "q_env",
-    "rel_q",
-    "y_mean",
-    "y_pred",
-    "y_env",
-    "rel_y",
-    "formal_q_ok",
-    "formal_y_ok",
-    "env_vacuous",
-)
+# the CSV columns are the fields in declaration order, with Q for open_pairs
+_ROW_FIELDS = tuple(f.name for f in fields(Checkpoint)[:-1])
+CHECKPOINT_COLUMNS = tuple("Q" if f == "open_pairs" else f for f in _ROW_FIELDS)
 
 
 def csv_field(value: object) -> str:
@@ -227,21 +219,7 @@ def csv_field(value: object) -> str:
 
 def checkpoint_row(cp: Checkpoint) -> list[str]:
     """Render a checkpoint as CSV fields in CHECKPOINT_COLUMNS order."""
-    return [
-        csv_field(cp.step),
-        csv_field(cp.t),
-        csv_field(cp.open_pairs),
-        csv_field(cp.q_pred),
-        csv_field(cp.q_env),
-        csv_field(cp.rel_q),
-        csv_field(cp.y_mean),
-        csv_field(cp.y_pred),
-        csv_field(cp.y_env),
-        csv_field(cp.rel_y),
-        csv_field(cp.formal_q_ok),
-        csv_field(cp.formal_y_ok),
-        csv_field(cp.env_vacuous),
-    ]
+    return [csv_field(getattr(cp, name)) for name in _ROW_FIELDS]
 
 
 def take_checkpoint(
@@ -298,7 +276,6 @@ def take_checkpoint(
         q_pred=q_pred,
         q_env=q_env,
         rel_q=rel_q,
-        y_samples=y_samples,
         y_mean=y_mean,
         y_pred=y_pred,
         y_env=y_env,
@@ -306,6 +283,7 @@ def take_checkpoint(
         formal_q_ok=formal_q_ok,
         formal_y_ok=formal_y_ok,
         env_vacuous=envelope_vacuous(t, n),
+        y_samples=y_samples,
     )
 
 
@@ -314,16 +292,8 @@ def default_cadence(horizon: int) -> int:
     return max(1, math.ceil(horizon / 50))
 
 
-def grid_times(spacing: float = 0.2, max_t: float = 3.0) -> list[float]:
-    """The scaled-time grid 0.2, 0.4, ... used for cross-run comparisons."""
-    count = int(round(max_t / spacing))
-    return [round(k * spacing, 10) for k in range(1, count + 1)]
-
-
-def grid_steps(n: int, times: list[float] | None = None) -> dict[int, float]:
+def grid_steps(n: int, times: tuple[float, ...]) -> dict[int, float]:
     """Map each grid time to its nearest step index (dropping step 0)."""
-    if times is None:
-        times = grid_times()
     out: dict[int, float] = {}
     for t in times:
         step = round(t * n**1.5)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from trifree import harness, oracle
+from trifree import harness, oracle, process
 from trifree.cli import build_parser, main
 from trifree.harness import (
     Horizon,
@@ -22,7 +22,6 @@ from trifree.harness import (
     RunSummary,
     SWEEP_COLUMNS,
     audit_run,
-    cmd_run,
     measurement_rng,
     parse_stop,
     run_simulation,
@@ -130,7 +129,7 @@ def test_pattern_tracking_through_config(tmp_path, c4_path):
 
 def test_run_artifacts_files(tmp_path, c4_path):
     config = RunConfig(n=20, seed=9, patterns=(c4_path,), checkpoint_every=5)
-    summary = cmd_run(config, tmp_path / "out")
+    summary = write_run_artifacts(run_simulation(config), tmp_path / "out")
     out = tmp_path / "out"
 
     with open(out / "checkpoints.csv", newline="") as fh:
@@ -174,8 +173,8 @@ def test_edge_log_is_written_from_the_log_columns(tmp_path):
 
 def test_run_artifacts_reproducible_bytes(tmp_path, c4_path):
     config = RunConfig(n=25, seed=4, patterns=(c4_path,))
-    cmd_run(config, tmp_path / "a")
-    cmd_run(config, tmp_path / "b")
+    write_run_artifacts(run_simulation(config), tmp_path / "a")
+    write_run_artifacts(run_simulation(config), tmp_path / "b")
     assert (tmp_path / "a/edges.log").read_bytes() == (
         tmp_path / "b/edges.log"
     ).read_bytes()
@@ -216,13 +215,13 @@ def test_run_golden_outputs(tmp_path, capsys, c4_path):
     }
 
 
-def test_cmd_run_rejects_bad_pattern_before_simulating(tmp_path):
+def test_run_rejects_bad_pattern_before_simulating(tmp_path):
     bad = tmp_path / "bad.pattern"
     bad.write_text("3 3\n0 1\n1 2\n0 2\n")
     config = RunConfig(n=2000, seed=1, patterns=(str(bad),))
     # a triangle pattern must fail fast, not after a large run
     with pytest.raises(Exception):
-        cmd_run(config, tmp_path / "out")
+        write_run_artifacts(run_simulation(config), tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
@@ -275,7 +274,7 @@ def test_sweep_checks_memory_before_starting_workers(monkeypatch):
     with pytest.raises(SizingError, match="n=1000000"):
         sweep([10, 1_000_000], 1, template, jobs=2)
     # the budget counts one largest run per concurrent worker
-    monkeypatch.setattr(harness, "physical_memory_bytes", lambda: 2 * estimated_bytes(12) - 1)
+    monkeypatch.setattr(process, "physical_memory_bytes", lambda: 2 * estimated_bytes(12) - 1)
     with pytest.raises(SizingError, match="2 concurrent"):
         sweep([12], 3, template, jobs=2)
     rows, _ = sweep([12], 3, template, jobs=1)
@@ -294,6 +293,30 @@ def test_write_sweep_files(tmp_path):
         data = json.load(fh)
     assert data["schema_version"] == "1"
     assert data["aggregates"][0]["n"] == 10
+
+
+def test_sweep_golden_outputs(tmp_path, capsys):
+    # Recorded before the sweep writers were rewritten; an error row, runs
+    # that stop short of some grid points, and serial and parallel workers
+    # must all give these bytes
+    argv = ["sweep", "--n", "40", "--n", "1", "--n", "90", "--seeds-per-n", "3"]
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(argv + ["--seed", "5", "--jobs", jobs, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.replace(str(out), "OUT")
+        digests = {
+            name: hashlib.sha256(data).hexdigest()
+            for name, data in (
+                ("sweep.csv", (out / "sweep.csv").read_bytes()),
+                ("sweep_summary.json", (out / "sweep_summary.json").read_bytes()),
+                ("stdout", printed.encode()),
+            )
+        }
+        assert digests == {
+            "sweep.csv": "9386efc532ccb059e129d4619288ac68a4d6de6ef0e8b343152585fb7ab90f38",
+            "sweep_summary.json": "7174d49031da3ad0cae4ed931f630290f0ef2046f8a99b3d35f0b11f028f7f63",
+            "stdout": "1417fe10c28d650a8c0ef0c606aa08bb89de9cea2fb80948898fc52d0dc4d366",
+        }
 
 
 # ----------------------------------------------------------------------

@@ -127,7 +127,7 @@ def test_n3_saturates_with_two_edges():
     state = ProcessState(3, seed=5)
     outcome = state.run(Saturation())
     assert outcome.steps == 2
-    assert outcome.saturated
+    assert outcome.open_pairs == 0
     assert state.open_pairs == 0
     # the remaining pair is closed, not an edge
     statuses = sorted(state.pair_status(u, v).name for u, v in all_pairs(3))
@@ -161,7 +161,7 @@ def test_force_step_requires_open_pair():
 def test_run_to_saturation_is_maximal_triangle_free():
     state = ProcessState(4, seed=2)
     outcome = state.run(Saturation())
-    assert outcome.saturated
+    assert outcome.open_pairs == 0
     report = state.audit(1000)
     assert report.ok and not report.triangles
     # maximality: every non-edge has a common neighbour
@@ -173,7 +173,7 @@ def test_run_step_limit():
     state = ProcessState(100, seed=4)
     outcome = state.run(Steps(50))
     assert outcome.steps == 50
-    assert not outcome.saturated
+    assert outcome.open_pairs != 0
     assert state.audit(state.total_pairs).ok
 
 
@@ -255,7 +255,7 @@ def test_run_returns_on_store_with_too_few_open_pairs():
         state.run(Steps(steps))
         clear_open_bit(state)
         outcome = state.run(Saturation())
-        assert not outcome.saturated
+        assert outcome.open_pairs != 0
         assert outcome.open_pairs == 1
         assert not state.audit(state.total_pairs).ok
 
@@ -406,7 +406,7 @@ def test_same_seed_reproduces_edge_log():
 def test_edge_sequence_is_pinned(n, seed, steps, digest):
     # the draw's exact stream: any change to it breaks every recorded run
     state = ProcessState(n, seed)
-    assert state.run(Saturation()).saturated
+    assert state.run(Saturation()).open_pairs == 0
     text = "".join(f"{u} {v}\n" for u, v in state.iter_edges())
     assert state.steps == steps
     assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -14,6 +14,7 @@ from trifree.patterns import blocked_placements, cycle_pattern
 from trifree.process import ProcessState, Saturation
 from trifree.trajectory import (
     CHECKPOINT_COLUMNS,
+    GRID_TIMES,
     HORIZON_COEFFICIENT,
     TrajectoryParams,
     checkpoint_row,
@@ -23,7 +24,6 @@ from trifree.trajectory import (
     finite_open_pair_curve,
     finite_partial_vertex_curve,
     grid_steps,
-    grid_times,
     log_open_pair_envelope,
     open_pair_curve,
     open_pair_envelope,
@@ -340,10 +340,10 @@ def test_default_cadence():
 
 
 def test_grid_times_and_steps():
-    times = grid_times(spacing=0.2, max_t=1.0)
-    assert times == [0.2, 0.4, 0.6, 0.8, 1.0]
+    times = GRID_TIMES[:5]
+    assert times == (0.2, 0.4, 0.6, 0.8, 1.0)
     steps = grid_steps(2000, times)
     assert steps[17889] == 0.2
     assert steps[89443] == 1.0
     # tiny n: grid points collapse but never map to step 0
-    assert 0 not in grid_steps(2, grid_times())
+    assert 0 not in grid_steps(2, GRID_TIMES)
