@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -225,6 +226,10 @@ def _do_pattern_check(args: argparse.Namespace) -> int:
     return status
 
 
+def _print_warning(message: Warning | str, *_location: object) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -238,11 +243,14 @@ def main(argv: list[str] | None = None) -> int:
         "audit": _do_audit,
         "pattern-check": _do_pattern_check,
     }
-    try:
-        return commands[args.command](args)
-    except (ValueError, SizingError, PatternError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    # a warning is a message to the user, not a source location
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return commands[args.command](args)
+        except (ValueError, SizingError, PatternError, OSError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

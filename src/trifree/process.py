@@ -46,7 +46,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 # Bytes per inserted edge: the edge log's two columns and the growth of
 # the edge rows.  tracemalloc runs to saturation at n = 300 to 2000 left
@@ -100,6 +100,42 @@ def check_fits(need: int, what: str) -> None:
             f"{what} would need about {need} bytes, "
             f"more than the memory limit of {limit} bytes"
         )
+
+
+def distinct_positions(
+    rng: random.Random, length: int, first: int
+) -> Iterator[int]:
+    """Distinct uniform positions of range(length), in a uniformly random
+    order, until all of them are taken; needs 0 <= first <= length.
+
+    The positions and the draws behind them are those of
+    `rng.sample(range(length), first)` followed by `rng.randrange(length)`
+    draws that skip repeats.  The first `first` positions are drawn when
+    the first one is asked for, the rest one at a time.  This is the one
+    place that copies CPython's draw algorithm: above `sample`'s set-size
+    threshold, `sample` is itself randbelow with redraws over a set, so
+    the whole stream is one `getrandbits` rejection loop; at or below it,
+    `sample` shuffles a pool and is called for the head.
+    `test_distinct_positions_matches_sample_then_randrange` pins the
+    equality on the running Python.
+    """
+    setsize = 21  # Random.sample: a list of `length` is smaller than a set
+    if first > 5:
+        setsize += 4 ** math.ceil(math.log(first * 3, 4))
+    seen: set[int] = set()
+    if length <= setsize:
+        for i in rng.sample(range(length), first):
+            seen.add(i)
+            yield i
+    draw = rng.getrandbits
+    k = length.bit_length()
+    add = seen.add
+    for _ in range(length - len(seen)):
+        i = draw(k)
+        while i >= length or i in seen:
+            i = draw(k)
+        add(i)
+        yield i
 
 
 class PairStatus(IntEnum):
@@ -405,34 +441,36 @@ class ProcessState:
 
         Visits index positions in a uniformly random order and keeps the
         OPEN pairs it meets: every open pair sits at exactly one position,
-        so they arrive in a uniformly random order too.  Uses the supplied
-        RNG, and reads the index without rebuilding or reordering it, so
-        measurement never perturbs the process stream.
+        so they arrive in a uniformly random order too.  The positions come
+        from `distinct_positions`, a written-out `rng.sample` of `count`
+        positions continued by `randrange` draws that skip repeats, so the
+        measurement stream is that of those calls.  Count >= Q walks the
+        whole index in order and draws nothing, as does count <= 0.  Uses
+        the supplied RNG, and reads the index without rebuilding or
+        reordering it, so measurement never perturbs the process stream.
         """
         index = self._open
-        open_mask = self._open_mask
-        unrank = self._unrank
-        if count >= self._open_count:
-            pairs = map(unrank, index)
-            return [(u, v) for u, v in pairs if open_mask[u] >> v & 1]
         length = len(index)
-        positions = rng.sample(range(length), min(count, length))
+        if count >= self._open_count:
+            positions: Iterable[int] = range(length)
+        elif count <= 0:
+            return []
+        else:
+            positions = distinct_positions(rng, length, count)
+        open_mask = self._open_mask
+        rowbase = self._rowbase
+        isqrt = math.isqrt
+        last = self._total - 1
+        top = self.n - 2
         out = []
         for i in positions:
-            u, v = unrank(index[i])
+            rank = index[i]
+            u = top - ((isqrt(8 * (last - rank) + 1) - 1) >> 1)  # _unrank
+            v = rank - rowbase[u]
             if open_mask[u] >> v & 1:
                 out.append((u, v))
-        if len(out) < count:
-            # continue the random order with fresh positions; the bound on
-            # `seen` ends the loop should the masks hold fewer than Q pairs
-            seen = set(positions)
-            while len(out) < count and len(seen) < length:
-                i = rng.randrange(length)
-                if i not in seen:
-                    seen.add(i)
-                    u, v = unrank(index[i])
-                    if open_mask[u] >> v & 1:
-                        out.append((u, v))
+                if len(out) == count:
+                    break
         return out
 
     # ------------------------------------------------------------------

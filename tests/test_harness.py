@@ -466,6 +466,18 @@ def test_cli_audit_clean(capsys):
     assert "audit clean" in capsys.readouterr().out
 
 
+def test_cli_prints_warnings_as_plain_lines(tmp_path, capsys):
+    # n = 4 has an empty step horizon, which trajectory.step_horizon warns about
+    assert main(["run", "--n", "4", "--out", str(tmp_path)]) == 0
+    args = ["audit", "--n", "4", "--oracle", "--trials", "2000", "--tv-threshold", "1"]
+    assert main(args) == 0
+    err = capsys.readouterr().err
+    assert ".py" not in err
+    lines = err.splitlines()
+    message = "warning: step horizon is empty at n=4; trajectory checks need larger n"
+    assert lines and all(line == message for line in lines)
+
+
 def test_cli_audit_oracle_usage_error(capsys):
     assert main(["audit", "--n", "10", "--oracle", "--trials", "10"]) == 1
     capsys.readouterr()

@@ -487,6 +487,41 @@ def test_blocked_placements_keep_and_monotone_never_realized():
         assert classify_placement(state, pattern, placement) != PlacementClass.REALIZED
 
 
+def reference_blocked_placements(state, pattern, sample_count, rng, keep_blocked):
+    """`blocked_placements` with `rng.sample` placements (test-side reference)."""
+    blocked = realized = 0
+    kept = []
+    for _ in range(sample_count):
+        placement = tuple(rng.sample(range(state.n), pattern.k))
+        verdict = classify_placement(state, pattern, placement)
+        if verdict == PlacementClass.BLOCKED:
+            blocked += 1
+            if len(kept) < keep_blocked:
+                kept.append(placement)
+        elif verdict == PlacementClass.REALIZED:
+            realized += 1
+    return BlockReport(sample_count, blocked, realized, tuple(kept))
+
+
+@pytest.mark.parametrize(
+    "n, pattern, steps",
+    [
+        # Random.sample's pool branch (n <= 85 for k = 12), then its set branch
+        (20, complete_bipartite_pattern(6, 6), 8),
+        (600, cycle_pattern(4), 4000),
+    ],
+)
+def test_blocked_placements_matches_sample_reference(n, pattern, steps):
+    state = ProcessState(n, seed=3)
+    state.run(Steps(steps))
+    a, b = random.Random(8), random.Random(8)
+    report = blocked_placements(state, pattern, 3000, a, keep_blocked=40)
+    assert report == reference_blocked_placements(state, pattern, 3000, b, 40)
+    assert a.getstate() == b.getstate()
+    assert 0 < report.blocked < report.sampled
+    assert len(report.kept_blocked) == 40
+
+
 def test_block_report_arithmetic():
     report = BlockReport(sampled=10, blocked=6, realized=1)
     assert report.open_compatible == 3

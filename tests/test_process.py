@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,7 @@ from trifree.process import (
     Saturation,
     SizingError,
     Steps,
+    distinct_positions,
     estimated_bytes,
 )
 from trifree.trajectory import TrajectoryParams, take_checkpoint
@@ -369,6 +370,104 @@ def test_sample_open_pairs_on_stale_index():
         sample = state.sample_open_pairs(count, rng)
         assert len(sample) == q and set(sample) == open_pairs
     assert state._open == range(state.total_pairs)  # read, never rebuilt
+
+
+def sample_then_randrange(rng, length, first, take):
+    """The stream `distinct_positions` writes out: `sample`, then
+    `randrange` draws that skip repeats (test-side reference)."""
+    out = rng.sample(range(length), first)
+    seen = set(out)
+    while len(out) < take:
+        i = rng.randrange(length)
+        if i not in seen:
+            seen.add(i)
+            out.append(i)
+    return out
+
+
+def test_distinct_positions_matches_sample_then_randrange():
+    # Random.sample keeps a pool at or below 21 (+ 4^ceil(log4(3 first))
+    # for first > 5) positions and a set above; L crosses both thresholds.
+    # A Python that draws otherwise fails here before checkpoints.csv moves.
+    for first in (0, 1, 5, 6, 12, 200):
+        for length in range(max(first, 1), 2001):
+            # every position while L is small, else the head and 25 more
+            take = length if length <= 64 else min(length, first + 25)
+            a = random.Random(length * 1009 + first)
+            b = random.Random(length * 1009 + first)
+            expected = sample_then_randrange(a, length, first, take)
+            got = list(islice(distinct_positions(b, length, first), take))
+            assert got == expected, (length, first)
+            assert a.getstate() == b.getstate(), (length, first)
+            if take == length:
+                assert sorted(got) == list(range(length))
+    assert list(distinct_positions(random.Random(0), 0, 0)) == []
+
+
+def reference_sample_open_pairs(state, count, rng):
+    """`ProcessState.sample_open_pairs` as it was written with `rng.sample`,
+    `randrange` and `_unrank` (test-side reference)."""
+    index = state._open
+    open_mask = state._open_mask
+    unrank = state._unrank
+    if count >= state.open_pairs:
+        pairs = map(unrank, index)
+        return [(u, v) for u, v in pairs if open_mask[u] >> v & 1]
+    length = len(index)
+    positions = rng.sample(range(length), min(count, length))
+    out = []
+    for i in positions:
+        u, v = unrank(index[i])
+        if open_mask[u] >> v & 1:
+            out.append((u, v))
+    if len(out) < count:
+        seen = set(positions)
+        while len(out) < count and len(seen) < length:
+            i = rng.randrange(length)
+            if i not in seen:
+                seen.add(i)
+                u, v = unrank(index[i])
+                if open_mask[u] >> v & 1:
+                    out.append((u, v))
+    return out
+
+
+def assert_sampler_matches_reference(state, seed):
+    q = state.open_pairs
+    for count in sorted({0, 1, 2, 5, 12, 200, max(q - 1, 0), q, q + 1}):
+        a = random.Random(seed * 31 + count)
+        b = random.Random(seed * 31 + count)
+        assert state.sample_open_pairs(count, b) == reference_sample_open_pairs(
+            state, count, a
+        ), (state.n, state.steps, count)
+        assert a.getstate() == b.getstate(), (state.n, state.steps, count)
+
+
+@pytest.mark.parametrize("n", [4, 7, 12, 30, 150])
+def test_sample_open_pairs_matches_reference_over_a_run(n):
+    # every step but the early ones at n = 150, where count >= Q walks a
+    # long index; the late ones reach Random.sample's pool branch
+    def check(s, _):
+        if s.n <= 30 or s.steps % 50 == 0 or s.open_pairs < 400:
+            assert_sampler_matches_reference(s, s.steps)
+
+    state = ProcessState(n, seed=n)
+    assert_sampler_matches_reference(state, 0)
+    state.run(on_step=check)
+    assert state.open_pairs == 0
+
+
+def test_sample_open_pairs_matches_reference_on_stale_index():
+    state = stale_index_state()
+    assert_sampler_matches_reference(state, 1)
+    state = ProcessState(30, seed=2)
+    state.run(Steps(40))
+    pairs = combinations(range(30), 2)
+    state.force_step(*next(p for p in pairs if state.pair_status(*p) == PairStatus.OPEN))
+    ranks = state._open
+    for seed in range(20):
+        assert_sampler_matches_reference(state, seed)
+    assert state._open is ranks  # read, never rebuilt
 
 
 def test_sample_open_pairs_is_uniform():
