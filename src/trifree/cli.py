@@ -227,7 +227,8 @@ def _do_pattern_check(args: argparse.Namespace) -> int:
 
 
 def _print_warning(message: Warning | str, *_location: object) -> None:
-    print(f"warning: {message}", file=sys.stderr)
+    # one write per line, so the lines of parallel sweep workers never mix
+    sys.stderr.write(f"warning: {message}\n")
 
 
 def main(argv: list[str] | None = None) -> int:
