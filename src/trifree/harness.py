@@ -21,6 +21,7 @@ import json
 import math
 import time
 import random
+import warnings
 from dataclasses import asdict, dataclass, replace
 from multiprocessing import Pool
 from pathlib import Path
@@ -293,7 +294,15 @@ SWEEP_COLUMNS = (
 )
 
 
-def _sweep_worker(config: RunConfig) -> dict:
+def _sweep_worker(config: RunConfig) -> tuple[dict, list[tuple[type, str]]]:
+    """One run's row, and the (category, text) of each warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        row = _sweep_row(config)
+    return row, [(w.category, str(w.message)) for w in caught]
+
+
+def _sweep_row(config: RunConfig) -> dict:
     try:
         result = run_simulation(config)
     except Exception as err:  # recorded per row; the sweep continues
@@ -335,7 +344,9 @@ def sweep(
     """Run every (n, seed slot) combination; never aborts on per-run errors.
 
     Per-run seeds are template.seed + run_index, in grid order, so the
-    row set is identical however many workers execute it.  Returns the
+    row set is identical however many workers execute it.  So are the
+    warnings: the runs' warnings are collected, and each distinct one is
+    re-raised here once, after the runs.  Returns the
     per-run rows and the per-n aggregate rows.  Raises SizingError before
     any run starts when the largest run, once per concurrent worker, would
     not fit in physical memory.
@@ -354,9 +365,13 @@ def sweep(
     )
     if jobs > 1:
         with Pool(processes=jobs) as pool:
-            rows = pool.map(_sweep_worker, configs)
+            results = pool.map(_sweep_worker, configs)
     else:
-        rows = [_sweep_worker(config) for config in configs]
+        results = [_sweep_worker(config) for config in configs]
+    rows = [row for row, _ in results]
+    # each distinct warning once, however many runs and workers raised it
+    for category, text in dict.fromkeys(w for _, raised in results for w in raised):
+        warnings.warn(text, category, stacklevel=2)
 
     aggregates: list[dict] = []
     for n in n_values:

@@ -17,8 +17,9 @@ only copies whose image uses that edge are searched, anchored at one
 pattern edge orientation per automorphism orbit.  And those orbits come
 from the same search run on the pattern's own rows, since a bijection of
 the k pattern vertices that maps edges to edges is an automorphism.  A
-placement is classified by comparing, per pattern vertex, the mask of
-its neighbours' images against the open and edge rows.
+placement is classified by comparing, per complete bipartite piece of
+the pattern, the mask of its heads' images against the blocked and
+non-edge rows of its centres' images, rows derived once per batch.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Iterable
 
 from .process import ProcessState, distinct_positions
 
@@ -63,12 +65,25 @@ class Pattern:
         return tuple(rows)
 
     @cached_property
-    def later_neighbours(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(a, neighbours of a above a) for every vertex a that has some."""
+    def bicliques(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """A cover of the edges by complete bipartite subgraphs, as
+        (centres, heads) pairs: every centre is adjacent to every head of
+        its pair, and every edge joins the centre and a head of some pair.
+
+        Greedy: the vertex with the most uncovered edges becomes a centre
+        and its uncovered neighbours its heads; centres with the same
+        heads share a pair.  C4 and K6,6 are one pair each.
+        """
+        uncovered = list(self.rows)
+        centres_by_heads: dict[int, list[int]] = {}
+        while any(uncovered):
+            a = max(range(self.k), key=lambda x: uncovered[x].bit_count())
+            centres_by_heads.setdefault(uncovered[a], []).append(a)
+            uncovered[a] = 0
+            uncovered = [row & ~(1 << a) for row in uncovered]
         return tuple(
-            (a, later)
-            for a, row in enumerate(self.rows)
-            if (later := tuple(b for b in range(a + 1, self.k) if row >> b & 1))
+            (tuple(centres), tuple(b for b in range(self.k) if heads >> b & 1))
+            for heads, centres in centres_by_heads.items()
         )
 
     @property
@@ -471,10 +486,6 @@ def classify_placement(
 ) -> PlacementClass:
     """Classify one injective placement against current pair statuses.
 
-    For each pattern vertex a, `want` masks the images of a's later
-    neighbours: some pattern edge is on a CLOSED pair iff `want` has a bit
-    in neither the open nor the edge row of a's image, and every pattern
-    edge is an EDGE iff `want` lies inside that edge row for every a.
     Raises ValueError unless `mapping` takes the k pattern vertices to
     distinct vertices of the graph.
     """
@@ -486,29 +497,56 @@ def classify_placement(
             f"placement {mapping} must map the {k} pattern vertices "
             f"to distinct vertices in range for n={n}"
         )
-    return _classify(
-        state.open_masks, state.edge_masks, pattern.later_neighbours, mapping
-    )
+    blocked_rows, nonedge_rows = _derived_rows(state, mapping)
+    return _classify(blocked_rows, nonedge_rows, pattern.bicliques, mapping)
+
+
+def _derived_rows(
+    state: ProcessState, vertices: Iterable[int]
+) -> tuple[list[int], list[int]]:
+    """The blocked row, of the w with {v, w} CLOSED (and v itself), and
+    the non-edge row, of the w with {v, w} not an EDGE, of each v in
+    `vertices`, as lists over all n vertices (0 for the others).
+
+    The rows are new ints, so measuring leaves the state's masks alone.
+    """
+    n = state.n
+    full = (1 << n) - 1
+    open_rows = state.open_masks
+    edge_rows = state.edge_masks
+    blocked = [0] * n
+    nonedge = [0] * n
+    for v in vertices:
+        edge = edge_rows[v]
+        blocked[v] = full ^ (open_rows[v] | edge)
+        nonedge[v] = full ^ edge
+    return blocked, nonedge
 
 
 def _classify(
-    open_rows: list[int],
-    adj_rows: list[int],
-    later_neighbours: tuple[tuple[int, tuple[int, ...]], ...],
+    blocked_rows: list[int],
+    nonedge_rows: list[int],
+    bicliques: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
     mapping: tuple[int, ...] | list[int],
 ) -> PlacementClass:
-    """classify_placement on a mapping known to be valid."""
+    """The class of a placement known to be valid.
+
+    For each biclique of the pattern, `want` masks the images of its
+    heads.  Some pattern edge is on a CLOSED pair iff `want` meets the
+    blocked row of some centre's image, and every pattern edge is an
+    EDGE iff `want` misses the non-edge row of every centre's image.
+    """
     realized = True
-    for a, later in later_neighbours:
+    for centres, heads in bicliques:
         want = 0
-        for b in later:
+        for b in heads:
             want |= 1 << mapping[b]
-        v = mapping[a]
-        edge = adj_rows[v]
-        if want & ~(open_rows[v] | edge):
-            return PlacementClass.BLOCKED
-        if want & ~edge:
-            realized = False
+        for a in centres:
+            v = mapping[a]
+            if want & blocked_rows[v]:
+                return PlacementClass.BLOCKED
+            if want & nonedge_rows[v]:
+                realized = False
     return PlacementClass.REALIZED if realized else PlacementClass.OPEN_COMPATIBLE
 
 
@@ -521,34 +559,36 @@ def blocked_placements(
 ) -> BlockReport:
     """Classify `sample_count` uniformly random placements.
 
-    Each placement is k distinct uniform vertices from
-    `process.distinct_positions`, a written-out `rng.sample(range(n), k)`
-    with the same draws.  Optionally keeps up to `keep_blocked` of the
-    blocked placements so a caller can re-examine them later in the run
-    (a blocked placement can never become realized, because closed pairs
-    never become edges).
+    Each placement is k distinct uniform vertices, drawn as one list by
+    `process.distinct_positions` with the draws of
+    `rng.sample(range(n), k)`; which of `sample`'s branches that takes is
+    settled once per call, and so are the derived rows of every vertex
+    that the classification reads.  Optionally keeps up to
+    `keep_blocked` of the blocked placements so a caller can re-examine
+    them later in the run (a blocked placement can never become
+    realized, because closed pairs never become edges).
     """
-    if pattern.k > state.n:
-        raise ValueError(f"pattern needs {pattern.k} vertices, graph has {state.n}")
-    open_rows = state.open_masks
-    adj_rows = state.edge_masks
-    later = pattern.later_neighbours
+    n, k = state.n, pattern.k
+    if k > n:
+        raise ValueError(f"pattern needs {k} vertices, graph has {n}")
+    blocked_rows, nonedge_rows = _derived_rows(state, range(n))
+    bicliques = pattern.bicliques
+    draw = distinct_positions(rng, n, k)
+    # reading a member off an Enum class costs about 0.1 us in CPython 3.11
+    blocked_class, realized_class = PlacementClass.BLOCKED, PlacementClass.REALIZED
     blocked = 0
     realized = 0
     kept: list[tuple[int, ...]] = []
-    n, k = state.n, pattern.k
     for _ in range(sample_count):
         # a uniformly random injective placement, valid by construction:
-        # classify it unchecked.  A list, not a tuple: tuple() of an
-        # iterator resizes, and the freed k-tuples fill CPython's tuple
-        # free list (0.6 MB more peak memory with C4, C6 and K6,6)
-        placement = list(itertools.islice(distinct_positions(rng, n, k), k))
-        verdict = _classify(open_rows, adj_rows, later, placement)
-        if verdict == PlacementClass.BLOCKED:
+        # classify it unchecked
+        placement = draw()
+        verdict = _classify(blocked_rows, nonedge_rows, bicliques, placement)
+        if verdict is blocked_class:
             blocked += 1
             if len(kept) < keep_blocked:
                 kept.append(tuple(placement))
-        elif verdict == PlacementClass.REALIZED:
+        elif verdict is realized_class:
             realized += 1
     return BlockReport(
         sampled=sample_count,

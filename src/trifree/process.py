@@ -104,38 +104,54 @@ def check_fits(need: int, what: str) -> None:
 
 def distinct_positions(
     rng: random.Random, length: int, first: int
-) -> Iterator[int]:
-    """Distinct uniform positions of range(length), in a uniformly random
-    order, until all of them are taken; needs 0 <= first <= length.
+) -> Callable[..., list[int]]:
+    """Return `draw(count=None, seen=None)`, which draws distinct uniform
+    positions of range(length) as one list and adds them to the set
+    `seen` (a new set when None).
 
-    The positions and the draws behind them are those of
-    `rng.sample(range(length), first)` followed by `rng.randrange(length)`
-    draws that skip repeats.  The first `first` positions are drawn when
-    the first one is asked for, the rest one at a time.  This is the one
-    place that copies CPython's draw algorithm: above `sample`'s set-size
-    threshold, `sample` is itself randbelow with redraws over a set, so
-    the whole stream is one `getrandbits` rejection loop; at or below it,
-    `sample` shuffles a pool and is called for the head.
+    `draw()` gives the head: the positions and the draws of
+    `rng.sample(range(length), first)`.  `draw(count, seen)` after it,
+    with the head in `seen`, gives `count` more: the positions and draws
+    of `rng.randrange(length)` calls that skip the positions in `seen`.
+    Together they come in a uniformly random order.  Needs
+    0 <= first <= length and len(seen) + count <= length.
+
+    This is the one place that copies CPython's draw algorithm, and it
+    settles which of `sample`'s two branches the head takes once, here.
+    Above `sample`'s set-size threshold, `sample` is itself randbelow
+    with redraws over a set, so every list comes from one `getrandbits`
+    rejection loop; at or below it, `sample` shuffles a pool and is
+    called for the head.
     `test_distinct_positions_matches_sample_then_randrange` pins the
     equality on the running Python.
     """
     setsize = 21  # Random.sample: a list of `length` is smaller than a set
     if first > 5:
         setsize += 4 ** math.ceil(math.log(first * 3, 4))
-    seen: set[int] = set()
-    if length <= setsize:
-        for i in rng.sample(range(length), first):
-            seen.add(i)
-            yield i
-    draw = rng.getrandbits
-    k = length.bit_length()
-    add = seen.add
-    for _ in range(length - len(seen)):
-        i = draw(k)
-        while i >= length or i in seen:
-            i = draw(k)
-        add(i)
-        yield i
+    pool = length <= setsize
+    getrandbits = rng.getrandbits
+    bits = length.bit_length()
+
+    def draw(count: int | None = None, seen: set[int] | None = None) -> list[int]:
+        if seen is None:
+            seen = set()
+        if count is None:
+            if pool:
+                head = rng.sample(range(length), first)
+                seen.update(head)
+                return head
+            count = first
+        add = seen.add
+        out = []
+        for _ in range(count):
+            i = getrandbits(bits)
+            while i >= length or i in seen:
+                i = getrandbits(bits)
+            add(i)
+            out.append(i)
+        return out
+
+    return draw
 
 
 class PairStatus(IntEnum):
@@ -442,36 +458,45 @@ class ProcessState:
         Visits index positions in a uniformly random order and keeps the
         OPEN pairs it meets: every open pair sits at exactly one position,
         so they arrive in a uniformly random order too.  The positions come
-        from `distinct_positions`, a written-out `rng.sample` of `count`
-        positions continued by `randrange` draws that skip repeats, so the
-        measurement stream is that of those calls.  Count >= Q walks the
-        whole index in order and draws nothing, as does count <= 0.  Uses
-        the supplied RNG, and reads the index without rebuilding or
-        reordering it, so measurement never perturbs the process stream.
+        from `distinct_positions`: the `rng.sample` of `count` positions,
+        then, while pairs are missing, a batch of one `randrange` draw
+        that skips repeats per missing pair.  A batch can complete the
+        sample only at its last position, so the measurement stream is
+        that of drawing one position at a time.  Count >= Q
+        walks the whole index in order and draws nothing, as does
+        count <= 0.  Uses the supplied RNG, and reads the index without
+        rebuilding or reordering it, so measurement never perturbs the
+        process stream.
         """
         index = self._open
         length = len(index)
+        draw = None
         if count >= self._open_count:
             positions: Iterable[int] = range(length)
         elif count <= 0:
             return []
         else:
-            positions = distinct_positions(rng, length, count)
+            seen: set[int] = set()
+            draw = distinct_positions(rng, length, count)
+            positions = draw(seen=seen)
         open_mask = self._open_mask
         rowbase = self._rowbase
         isqrt = math.isqrt
         last = self._total - 1
         top = self.n - 2
-        out = []
-        for i in positions:
-            rank = index[i]
-            u = top - ((isqrt(8 * (last - rank) + 1) - 1) >> 1)  # _unrank
-            v = rank - rowbase[u]
-            if open_mask[u] >> v & 1:
-                out.append((u, v))
-                if len(out) == count:
-                    break
-        return out
+        out: list[tuple[int, int]] = []
+        while True:
+            for i in positions:
+                rank = index[i]
+                u = top - ((isqrt(8 * (last - rank) + 1) - 1) >> 1)  # _unrank
+                v = rank - rowbase[u]
+                if open_mask[u] >> v & 1:
+                    out.append((u, v))
+                    if len(out) == count:
+                        return out
+            if draw is None:
+                return out
+            positions = draw(count - len(out), seen)
 
     # ------------------------------------------------------------------
     # auditing

@@ -478,6 +478,18 @@ def test_cli_prints_warnings_as_plain_lines(tmp_path, capsys):
     assert lines and all(line == message for line in lines)
 
 
+def test_cli_sweep_warns_once_per_n_whatever_the_workers(tmp_path, capfd):
+    # parallel workers write to file descriptor 2 themselves, so capture it
+    expected = [
+        f"warning: step horizon is empty at n={n}; trajectory checks need larger n"
+        for n in (4, 5)
+    ]
+    for jobs in ("1", "2"):
+        argv = ["sweep", "--n", "4", "--n", "5", "--seeds-per-n", "2"]
+        assert main(argv + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        assert capfd.readouterr().err.splitlines() == expected, jobs
+
+
 def test_cli_audit_oracle_usage_error(capsys):
     assert main(["audit", "--n", "10", "--oracle", "--trials", "10"]) == 1
     capsys.readouterr()

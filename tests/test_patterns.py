@@ -420,6 +420,27 @@ def test_blocked_placements_requires_small_pattern():
         blocked_placements(state, complete_bipartite_pattern(6, 6), 10, random.Random(0))
 
 
+def test_bicliques_cover_the_pattern_edges():
+    patterns = [
+        single_edge_pattern(),
+        path_pattern(5),
+        cycle_pattern(4),
+        cycle_pattern(7),
+        complete_bipartite_pattern(6, 6),
+        make_pattern(6, [(0, 1), (0, 3), (1, 2), (2, 5), (3, 4), (4, 5), (1, 4)]),
+    ]
+    for pattern in patterns:
+        covered = [
+            (min(a, b), max(a, b))
+            for centres, heads in pattern.bicliques
+            for a in centres
+            for b in heads
+        ]
+        assert sorted(covered) == list(pattern.edges), pattern.label
+    assert len(cycle_pattern(4).bicliques) == 1
+    assert len(complete_bipartite_pattern(6, 6).bicliques) == 1
+
+
 def test_classify_placement_cases():
     state = ProcessState(6, seed=1)
     state.force_step(0, 1)
@@ -506,9 +527,13 @@ def reference_blocked_placements(state, pattern, sample_count, rng, keep_blocked
 @pytest.mark.parametrize(
     "n, pattern, steps",
     [
-        # Random.sample's pool branch (n <= 85 for k = 12), then its set branch
+        # Random.sample's pool branch (n <= 21 for k <= 5, n <= 85 for
+        # 6 <= k <= 21), then its set branch
         (20, complete_bipartite_pattern(6, 6), 8),
         (600, cycle_pattern(4), 4000),
+        (15, cycle_pattern(4), 8),
+        (600, cycle_pattern(6), 4000),
+        (600, complete_bipartite_pattern(6, 6), 1000),
     ],
 )
 def test_blocked_placements_matches_sample_reference(n, pattern, steps):
@@ -520,6 +545,32 @@ def test_blocked_placements_matches_sample_reference(n, pattern, steps):
     assert a.getstate() == b.getstate()
     assert 0 < report.blocked < report.sampled
     assert len(report.kept_blocked) == 40
+
+
+def test_blocked_placements_matches_sample_reference_when_realized():
+    # saturated, so paths P3 are realized as well as blocked
+    state = ProcessState(30, seed=3)
+    state.run(Saturation())
+    pattern = path_pattern(2)
+    a, b = random.Random(8), random.Random(8)
+    report = blocked_placements(state, pattern, 3000, a, keep_blocked=40)
+    assert report == reference_blocked_placements(state, pattern, 3000, b, 40)
+    assert a.getstate() == b.getstate()
+    assert report.realized > 0
+    assert 0 < report.blocked < report.sampled
+
+
+def test_blocked_placements_leaves_the_state_alone():
+    state = ProcessState(60, seed=4)
+    state.run(Steps(200))
+    open_before = list(state.open_masks)
+    edges_before = list(state.edge_masks)
+    for pattern in (cycle_pattern(4), complete_bipartite_pattern(6, 6)):
+        blocked_placements(state, pattern, 500, random.Random(1), keep_blocked=5)
+        classify_placement(state, pattern, tuple(range(pattern.k)))
+    assert state.open_masks == open_before
+    assert state.edge_masks == edges_before
+    assert state.audit(state.total_pairs).ok
 
 
 def test_block_report_arithmetic():

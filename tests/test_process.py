@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import tracemalloc
-from itertools import combinations, islice
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -396,12 +396,18 @@ def test_distinct_positions_matches_sample_then_randrange():
             a = random.Random(length * 1009 + first)
             b = random.Random(length * 1009 + first)
             expected = sample_then_randrange(a, length, first, take)
-            got = list(islice(distinct_positions(b, length, first), take))
+            # the head, then the rest in batches of 1, 2, 4, ...
+            draw = distinct_positions(b, length, first)
+            seen: set[int] = set()
+            got = draw(seen=seen)
+            while len(got) < take:
+                got += draw(min(len(got) - first + 1, take - len(got)), seen)
             assert got == expected, (length, first)
             assert a.getstate() == b.getstate(), (length, first)
+            assert seen == set(got)
             if take == length:
                 assert sorted(got) == list(range(length))
-    assert list(distinct_positions(random.Random(0), 0, 0)) == []
+    assert distinct_positions(random.Random(0), 0, 0)() == []
 
 
 def reference_sample_open_pairs(state, count, rng):
