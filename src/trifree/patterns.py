@@ -68,7 +68,8 @@ class Pattern:
     def bicliques(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """A cover of the edges by complete bipartite subgraphs, as
         (centres, heads) pairs: every centre is adjacent to every head of
-        its pair, and every edge joins the centre and a head of some pair.
+        its pair, and every edge joins a centre and a head of exactly one
+        pair.
 
         Greedy: the vertex with the most uncovered edges becomes a centre
         and its uncovered neighbours its heads; centres with the same
