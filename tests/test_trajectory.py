@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trifree.patterns import blocked_placements, cycle_pattern
-from trifree.process import ProcessState, Saturation
+from trifree.process import PairStatus, ProcessState, Saturation
 from trifree.trajectory import (
     CHECKPOINT_COLUMNS,
     GRID_TIMES,
@@ -259,7 +259,6 @@ def test_checkpoint_at_step_zero():
     # residual n/2 over prediction n^2/2 is exactly 1/n
     assert math.isclose(cp.rel_q, 1 / n, rel_tol=1e-12)
     assert cp.formal_q_ok  # n/2 <= n^(11/6)
-    assert cp.y_samples == (0,) * 10
     assert cp.y_pred == 0.0 and cp.y_mean == 0.0
     assert cp.formal_y_ok is True
     assert cp.rel_y is None  # prediction is zero at t=0
@@ -269,7 +268,6 @@ def test_checkpoint_saturated_state_has_empty_y():
     state = ProcessState(3, seed=1)
     state.run(Saturation())
     cp = take_checkpoint(state, TrajectoryParams(3), 10, random.Random(0))
-    assert cp.y_samples == ()
     assert cp.y_mean is None and cp.formal_y_ok is None and cp.rel_y is None
 
 
@@ -284,9 +282,20 @@ def test_checkpoint_mid_run_consistency():
     cp = take_checkpoint(state, TrajectoryParams(n), 25, random.Random(3))
     assert cp.step == 40
     assert cp.open_pairs == state.open_pairs
-    assert len(cp.y_samples) == 25
-    expected_mean = sum(cp.y_samples) / 25
-    assert math.isclose(cp.y_mean, expected_mean, rel_tol=1e-12)
+
+    def partial_vertices(u, v):
+        # w with one of {u, w}, {v, w} an edge and the other open
+        edge_open = {PairStatus.EDGE, PairStatus.OPEN}
+        return sum(
+            {state.pair_status(u, w), state.pair_status(v, w)} == edge_open
+            for w in range(n)
+            if w not in (u, v)
+        )
+
+    # the same RNG seed draws the same 25 pairs
+    ys = [partial_vertices(u, v) for u, v in state.sample_open_pairs(25, random.Random(3))]
+    assert len(ys) == 25
+    assert math.isclose(cp.y_mean, sum(ys) / 25, rel_tol=1e-12)
     assert cp.t == 40 / n**1.5
 
 
