@@ -85,7 +85,7 @@ def test_every_public_name_is_read_or_kept_for_a_reason():
         if path.name == "__init__.py":
             continue
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or _private(node.name):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             qualified = f"{path.stem}.{node.name}"
             defined[qualified] = node.name
