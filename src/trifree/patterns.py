@@ -379,6 +379,8 @@ def max_edges_k_subset(
     n = len(rows)
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got restarts={restarts}")
     top_candidates = 16
     by_degree = sorted(range(n), key=lambda v: rows[v].bit_count(), reverse=True)
     best = -1

@@ -28,8 +28,8 @@ the pair if the masks say it is OPEN, else draws again; conditioned on
 acceptance the pair is uniform over the open pairs, so the process is
 exact.  Insertions never touch the index.  It starts as `range(total)`
 and is rebuilt from the masks, as a compact `array` of exactly the OPEN
-ranks, once it holds more than 2Q + n entries; that costs O(n + Q) and
-keeps the expected draws per step below 2 + n/Q.
+ranks, once it holds more than 3Q + n entries; that costs O(n + Q) and
+keeps the expected draws per step below 3 + n/Q.
 
 The masks, the lazy index, the edge log and the RNG are the whole state.
 The edge log is two `array` columns of endpoints, 2 bytes each while
@@ -46,12 +46,12 @@ import random
 from array import array
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 # Bytes per inserted edge: the edge log's two columns and the growth of
 # the edge rows.  tracemalloc runs to saturation at n = 300 to 2000 left
 # 11 B per edge at the end; 16 covers the state's fixed overhead at
-# small n.  The peak at n = 2000 is 5.6 MB, at the index's first rebuild.
+# small n.  The peak at n = 2000 is 4.2 MB, at the index's first rebuild.
 BYTES_PER_EDGE = 16
 # c(n) = final edges / (n^(3/2) sqrt(ln n)) reads 0.40-0.50 for
 # 30 <= n <= 4000 and tends to 1/(2 sqrt 2) ~ 0.354
@@ -71,14 +71,14 @@ def index_typecode(total: int) -> str:
 def estimated_bytes(n: int) -> int:
     """Peak memory of a ProcessState(n) run to saturation, in bytes.
 
-    The index peaks at its first rebuild, an array of at most half the
-    pairs (each rebuild drops the old array before it builds the new
+    The index peaks at its first rebuild, an array of at most a third of
+    the pairs (each rebuild drops the old array before it builds the new
     one); the masks take n^2/4 bytes; the edges take BYTES_PER_EDGE each.
     """
     if n < 2:
         return 0
     total = n * (n - 1) // 2
-    index = array(index_typecode(total)).itemsize * total // 2
+    index = array(index_typecode(total)).itemsize * total // 3
     edges = EDGE_COUNT_BOUND * n * math.sqrt(n * math.log(n))
     return index + n * n // 4 + int(BYTES_PER_EDGE * edges)
 
@@ -160,8 +160,7 @@ class PairStatus(IntEnum):
     CLOSED = 2
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     """One insertion: the chosen pair {u, v}, u < v, and the pairs it closed,
     as the masks of the w with {v, w} closed and with {u, w} closed."""
 
@@ -328,7 +327,7 @@ class ProcessState:
         """
         if self._open_count == 0:
             return None
-        if len(self._open) > 2 * self._open_count + self.n:
+        if len(self._open) > 3 * self._open_count + self.n:
             self._compact()
         index = self._open
         size = len(index)
@@ -513,14 +512,14 @@ class ProcessState:
         only suspect pairs in the sample are compared one by one, so a
         full audit costs O(n + edges) mask operations.
         """
-        if rng is None:
-            rng = random.Random(0xA0D17)
         n = self.n
         total = self._total
         if sample_size >= total:
             ranks: range | list[int] = range(total)
             checked = total
         else:
+            if rng is None:
+                rng = random.Random(0xA0D17)
             ranks = rng.sample(range(total), sample_size)
             checked = sample_size
 

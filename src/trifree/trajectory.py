@@ -222,6 +222,12 @@ def checkpoint_row(cp: Checkpoint) -> list[str]:
     return [csv_field(getattr(cp, f.name)) for f in fields(cp)]
 
 
+def _inside_envelope(ys: list[int], pred: float, env: float) -> bool:
+    """`all(abs(s - pred) <= env for s in ys)` for a non-empty `ys`, read
+    off its extremes: `s - pred` rounds monotonically in s."""
+    return max(abs(min(ys) - pred), abs(max(ys) - pred)) <= env
+
+
 def take_checkpoint(
     state: ProcessState,
     params: TrajectoryParams,
@@ -261,7 +267,7 @@ def take_checkpoint(
     y_env = math.sqrt(n) * partial_vertex_envelope(t, n)
     if ys:
         y_mean: float | None = fmean(ys)
-        formal_y_ok: bool | None = all(abs(s - y_pred) <= y_env for s in ys)
+        formal_y_ok: bool | None = _inside_envelope(ys, y_pred, y_env)
         rel_y = abs(y_mean / y_pred - 1.0) if y_pred > 0.0 else None
     else:
         y_mean = None

@@ -354,9 +354,9 @@ def test_sweep_golden_outputs(tmp_path, capsys):
             )
         }
         assert digests == {
-            "sweep.csv": "9386efc532ccb059e129d4619288ac68a4d6de6ef0e8b343152585fb7ab90f38",
-            "sweep_summary.json": "7174d49031da3ad0cae4ed931f630290f0ef2046f8a99b3d35f0b11f028f7f63",
-            "stdout": "1417fe10c28d650a8c0ef0c606aa08bb89de9cea2fb80948898fc52d0dc4d366",
+            "sweep.csv": "0904b579c87c6574992c90e77a8e035d35c66fbd3635e2a188922f12f356d5ee",
+            "sweep_summary.json": "8c798f4879db0d76fa685794ac9d953c3ae78d68fb1de30de08fc411ea3f3977",
+            "stdout": "cd418671d3032f956f7a22b0b19ab2f471201cdb88ce51428d130af3675d6f76",
         }
 
 

@@ -372,6 +372,8 @@ def test_max_edges_argument_errors():
         max_edges_k_subset(rows, 1, random.Random(0))
     with pytest.raises(ValueError):
         max_edges_k_subset(rows, 6, random.Random(0))
+    with pytest.raises(ValueError, match="restart"):
+        max_edges_k_subset(rows, 2, random.Random(0), restarts=0)
 
 
 # ----------------------------------------------------------------------

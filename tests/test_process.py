@@ -225,6 +225,52 @@ def test_open_pair_count_after_one_step():
     assert state.open_pairs == 5  # one edge, nothing closed yet
 
 
+@pytest.mark.parametrize("n, seed", [(60, 4), (300, 9)])
+def test_index_is_rebuilt_past_three_open_counts_plus_n(monkeypatch, n, seed):
+    # a step rebuilds the lazy index first thing iff it holds more than
+    # 3Q + n ranks; other rebuilds come only after more misses than it has
+    # positions, so only once Q is small.  A due rebuild emits under a
+    # third of the ranks before it, so a run emits at most
+    # (total + n x rebuilds) / 2 ranks; at 2Q + n it would be about total.
+    state = ProcessState(n, seed)
+    rng = state._rng
+    draws = 0
+
+    def counting_getrandbits(k):
+        nonlocal draws
+        draws += 1
+        return random.Random.getrandbits(rng, k)
+
+    rng.getrandbits = counting_getrandbits
+    due_steps = 0
+    step_start = 0
+    rebuilds = []  # (first thing in its step, ranks before, Q, ranks emitted)
+    step, compact = ProcessState.step, ProcessState._compact
+
+    def spy_step(self):
+        nonlocal due_steps, step_start
+        q = self._open_count
+        due_steps += q > 0 and len(self._open) > 3 * q + self.n
+        step_start = draws
+        return step(self)
+
+    def spy_compact(self):
+        before = len(self._open)
+        index = compact(self)
+        rebuilds.append((draws == step_start, before, self._open_count, len(index)))
+        return index
+
+    monkeypatch.setattr(ProcessState, "step", spy_step)
+    monkeypatch.setattr(ProcessState, "_compact", spy_compact)
+    assert state.run(Saturation()).open_pairs == 0
+    first = [(before, q) for at_start, before, q, _ in rebuilds if at_start]
+    assert len(first) == due_steps > 0
+    assert all(before > 3 * q + n for before, q in first)
+    assert all(emitted == q for _, _, q, emitted in rebuilds)
+    emitted = sum(r[3] for r in rebuilds)
+    assert emitted <= (state.total_pairs + n * len(rebuilds)) / 2
+
+
 # ----------------------------------------------------------------------
 # audit
 
@@ -504,9 +550,10 @@ def test_same_seed_reproduces_edge_log():
 @pytest.mark.parametrize(
     "n, seed, steps, digest",
     [
-        (60, 2, 419, "8daf77dcf251d76460e74a38c2967871185b739fd31e9134934a6df25aef8c5b"),
-        (500, 11, 11822, "d80d2ee7f15d7608380133ddee0f83eadcc35c3549fbc44742a7d4a70ee3ab95"),
+        (60, 2, 426, "e3835ef66eb6c865b636ed46098e7b5e516ab825b162f533b95fe46fab7e517c"),
+        (500, 11, 11863, "007191e796ca917b73f59fa3ad526169d95807b03828fd26c75abe4e52bda032"),
     ],
+    ids=["60-2", "500-11"],
 )
 def test_edge_sequence_is_pinned(n, seed, steps, digest):
     # the draw's exact stream: any change to it breaks every recorded run

@@ -33,6 +33,7 @@ from trifree.trajectory import (
     step_horizon,
     take_checkpoint,
 )
+from trifree.trajectory import _inside_envelope
 
 
 def horizon_oracle(n: int) -> int:
@@ -269,6 +270,37 @@ def test_checkpoint_saturated_state_has_empty_y():
     state.run(Saturation())
     cp = take_checkpoint(state, TrajectoryParams(3), 10, random.Random(0))
     assert cp.y_mean is None and cp.formal_y_ok is None and cp.rel_y is None
+
+
+def test_envelope_check_reads_the_extremes():
+    # formal_y_ok reads only the sample's min and max; it must agree with
+    # the check of every sample, also on ties and with an infinite envelope
+    rng = random.Random(13)
+    cases = [
+        ([3], 3.0, 0.0),
+        ([2, 4], 3.0, 1.0),
+        ([2, 5], 3.0, 1.0),
+        ([1, 4], 3.0, 1.0),
+        ([0, 7], 3.5, 3.5),
+        ([0, 8], 3.5, 3.5),
+        ([5, 5, 5], 0.0, math.inf),
+        ([0, 10**6], 1e300, math.inf),
+        ([0, 1, 2], math.inf, math.inf),
+    ]
+    for _ in range(3000):
+        ys = [rng.randrange(80) for _ in range(rng.randint(1, 200))]
+        pred = rng.uniform(0.0, 80.0)
+        widest = max(abs(s - pred) for s in ys)
+        env = rng.choice(
+            [rng.uniform(0.0, 40.0), math.inf, widest, math.nextafter(widest, 0.0)]
+        )
+        cases.append((ys, pred, env))
+    outcomes = set()
+    for ys, pred, env in cases:
+        expected = all(abs(s - pred) <= env for s in ys)
+        assert _inside_envelope(ys, pred, env) == expected, (ys, pred, env)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_checkpoint_mid_run_consistency():
