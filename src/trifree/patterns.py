@@ -11,12 +11,22 @@ Patterns and graphs alike are bitmask rows (bit w of row v set iff
 One backtracking search, with degree pruning and candidate ordering by
 constraint count, returns the first copy: the candidates for a pattern
 vertex are the AND of its placed neighbours' rows minus the used
-vertices.  It serves three callers.  `find_copy` searches a whole graph.
+vertices.  Two cuts drop only branches that hold no copy, so the
+candidates are tried in the same order and the first copy is the same.
+A count bound: every unplaced pattern vertex adjacent to all of a
+level's placed neighbours needs its own image in that level's candidate
+set, so a set smaller than that count (the level's `need`) is a dead
+end.  A one-level look-ahead: before placing a candidate, the search
+computes the next level's candidate set with it placed and skips the
+candidate when the set is below the next level's `need`.  The search
+serves three callers.  `find_copy` searches a whole graph.
 `FirstAppearanceTracker` runs it incrementally: after inserting an edge,
 only copies whose image uses that edge are searched, anchored at one
 pattern edge orientation per automorphism orbit.  And those orbits come
 from the same search run on the pattern's own rows, since a bijection of
-the k pattern vertices that maps edges to edges is an automorphism.  A
+the k pattern vertices that maps edges to edges is an automorphism;
+every automorphism found marks the images of the anchors' orbits, and
+marked orientations are not searched again.  A
 placement is classified by comparing, per complete bipartite piece of
 the pattern, the mask of its heads' images against the blocked and
 non-edge rows of its centres' images, rows derived once per batch.
@@ -208,27 +218,34 @@ def _mask(vertices) -> int:
     return row
 
 
-def _build_order(
-    pattern: Pattern, anchored: tuple[int, int] | None
-) -> list[tuple[int, tuple[int, ...], int]]:
+# a search order, one entry per level (see `_build_order`)
+_Order = list[tuple[int, tuple[int, ...], int, int]]
+
+
+def _build_order(pattern: Pattern, anchored: tuple[int, int] | None) -> _Order:
     """Greedy vertex order: most placed-neighbours first, then degree.
 
-    Entries are (pattern vertex, placed pattern neighbours, min degree).
-    With no anchor the order covers every vertex (the first entry has no
-    constraints); with an anchor it covers the k-2 remaining vertices.
+    Entries are (pattern vertex, placed pattern neighbours, min degree,
+    need), where `need` counts the unplaced vertices, this one included,
+    that are adjacent to all of those placed neighbours: their images are
+    distinct members of this level's candidate set.  With no anchor the
+    order covers every vertex (the first entry has no constraints); with
+    an anchor it covers the k-2 remaining vertices.
     """
     rows = pattern.rows
     placed: list[int] = list(anchored) if anchored else []
     placed_mask = _mask(placed)
     remaining = [a for a in range(pattern.k) if a not in placed]
-    order: list[tuple[int, tuple[int, ...], int]] = []
+    order: _Order = []
     while remaining:
         best = max(
             remaining,
             key=lambda a: ((rows[a] & placed_mask).bit_count(), rows[a].bit_count()),
         )
         nbrs = tuple(b for b in placed if rows[best] >> b & 1)
-        order.append((best, nbrs, rows[best].bit_count()))
+        nbrs_mask = _mask(nbrs)
+        need = sum(rows[a] & nbrs_mask == nbrs_mask for a in remaining)
+        order.append((best, nbrs, rows[best].bit_count(), need))
         placed.append(best)
         placed_mask |= 1 << best
         remaining.remove(best)
@@ -237,32 +254,67 @@ def _build_order(
 
 def _search(
     rows: list[int] | tuple[int, ...],
-    order: list[tuple[int, tuple[int, ...], int]],
-    idx: int,
+    order: _Order,
     assign: dict[int, int],
     used: int,
 ) -> dict[int, int] | None:
     """The first extension of a partial assignment to a copy, or None.
 
-    `rows` are the graph's edge rows and `used` is the mask of the
-    graph vertices the assignment already takes.  A copy found is
-    `assign` itself, completed.
+    `rows` are the graph's edge rows, `order` places the pattern vertices
+    that `assign` leaves out, and `used` is the mask of the graph
+    vertices the assignment already takes.  A copy found is `assign`
+    itself, completed.
     """
-    if idx == len(order):
+    if not order:
         return assign
-    pv, nbrs, mindeg = order[idx]
-    candidates = (1 << len(rows)) - 1
+    _, nbrs, _, need = order[0]
+    candidates = ((1 << len(rows)) - 1) & ~used
     for b in nbrs:
         candidates &= rows[assign[b]]
-    candidates &= ~used
+    if candidates.bit_count() < need:
+        return None
+    return _extend(rows, order, 0, assign, used, candidates)
+
+
+def _extend(
+    rows: list[int] | tuple[int, ...],
+    order: _Order,
+    idx: int,
+    assign: dict[int, int],
+    used: int,
+    candidates: int,
+) -> dict[int, int] | None:
+    """`_search` from level idx on, given that level's candidate set.
+
+    Candidates are tried from the highest vertex down.  Before placing
+    one, the next level's candidate set is computed with it placed, and
+    the candidate is skipped when that set holds fewer vertices than the
+    next level's `need`.
+    """
+    pv, _, mindeg, _ = order[idx]
+    last = idx + 1 == len(order)
+    if not last:
+        _, nbrs, _, need = order[idx + 1]
+        linked = pv in nbrs
+        ahead = ((1 << len(rows)) - 1) & ~used
+        for b in nbrs:
+            if b != pv:
+                ahead &= rows[assign[b]]
     while candidates:
         c = candidates.bit_length() - 1
         bit = 1 << c
         candidates ^= bit
-        if rows[c].bit_count() < mindeg:
+        row = rows[c]
+        if row.bit_count() < mindeg:
+            continue
+        if last:
+            assign[pv] = c
+            return assign
+        following = ahead & row if linked else ahead & ~bit
+        if following.bit_count() < need:
             continue
         assign[pv] = c
-        if _search(rows, order, idx + 1, assign, used | bit) is not None:
+        if _extend(rows, order, idx + 1, assign, used | bit, following) is not None:
             return assign
         del assign[pv]
     return None
@@ -276,29 +328,47 @@ def find_copy(rows: list[int], pattern: Pattern) -> tuple[int, ...] | None:
     """
     if pattern.k > len(rows):
         return None
-    copy = _search(rows, _build_order(pattern, anchored=None), 0, {}, 0)
+    copy = _search(rows, _build_order(pattern, anchored=None), {}, 0)
     return None if copy is None else tuple(copy[a] for a in range(pattern.k))
 
 
-def anchor_orientations(pattern: Pattern) -> list[tuple[int, int]]:
-    """One ordered pattern edge per automorphism orbit.
+def anchor_orientations(pattern: Pattern) -> dict[tuple[int, int], _Order]:
+    """One ordered pattern edge per automorphism orbit, each mapped to
+    its anchored search order.
 
     Anchoring an incremental search at these orientations covers every
     way a new graph edge can sit inside a copy; edge-transitive patterns
     collapse to a single anchor.  (x, y) and (c, d) share an orbit iff
     the pattern has a copy in itself that takes x to c and y to d: that
     copy is a bijection of the k vertices mapping edges to edges, which
-    is an automorphism.
+    is an automorphism.  The ordered edges that the automorphisms found
+    so far carry an anchor to are marked and not searched again.
     """
-    reps: list[tuple[tuple[int, int], list]] = []
+    rows = pattern.rows
+    anchors: dict[tuple[int, int], _Order] = {}
+    automorphisms: list[tuple[int, ...]] = []
+    marked: set[tuple[int, int]] = set()
     for a, b in pattern.edges:
         for c, d in ((a, b), (b, a)):
-            if all(
-                _search(pattern.rows, order, 0, {x: c, y: d}, 1 << c | 1 << d) is None
-                for (x, y), order in reps
-            ):
-                reps.append(((c, d), _build_order(pattern, anchored=(c, d))))
-    return [pair for pair, _ in reps]
+            if (c, d) in marked:
+                continue
+            for (x, y), order in anchors.items():
+                copy = _search(rows, order, {x: c, y: d}, 1 << c | 1 << d)
+                if copy is not None:
+                    automorphisms.append(tuple(copy[v] for v in range(pattern.k)))
+                    break
+            else:
+                anchors[c, d] = _build_order(pattern, anchored=(c, d))
+            marked.add((c, d))
+            frontier = list(marked)
+            while frontier:
+                x, y = frontier.pop()
+                for perm in automorphisms:
+                    image = (perm[x], perm[y])
+                    if image not in marked:
+                        marked.add(image)
+                        frontier.append(image)
+    return anchors
 
 
 class FirstAppearanceTracker:
@@ -315,10 +385,7 @@ class FirstAppearanceTracker:
         self.until_step = until_step
         self.first_step: int | None = None
         self.witness: tuple[int, ...] | None = None
-        self._anchors = [
-            (pair, _build_order(pattern, anchored=pair))
-            for pair in anchor_orientations(pattern)
-        ]
+        self._anchors = list(anchor_orientations(pattern).items())
 
     def offer(self, rows: list[int], u: int, v: int, step: int) -> bool:
         """Check for a copy using the just-inserted edge {u, v}.
@@ -342,7 +409,7 @@ class FirstAppearanceTracker:
                 or deg_v < pattern_rows[b].bit_count()
             ):
                 continue
-            copy = _search(rows, order, 0, {a: u, b: v}, 1 << u | 1 << v)
+            copy = _search(rows, order, {a: u, b: v}, 1 << u | 1 << v)
             if copy is not None:
                 self.first_step = step
                 self.witness = tuple(copy[x] for x in range(self.pattern.k))
@@ -434,6 +501,12 @@ class PlacementClass(Enum):
     OPEN_COMPATIBLE = "open"  # neither: the copy could still appear
 
 
+# reading a member off an Enum class costs about 0.1 us in CPython 3.11
+_BLOCKED = PlacementClass.BLOCKED
+_REALIZED = PlacementClass.REALIZED
+_OPEN_COMPATIBLE = PlacementClass.OPEN_COMPATIBLE
+
+
 @dataclass(frozen=True)
 class BlockReport:
     """Classification counts over sampled random placements.
@@ -515,10 +588,10 @@ def _classify(
         for a in centres:
             v = mapping[a]
             if want & blocked_rows[v]:
-                return PlacementClass.BLOCKED
+                return _BLOCKED
             if want & nonedge_rows[v]:
                 realized = False
-    return PlacementClass.REALIZED if realized else PlacementClass.OPEN_COMPATIBLE
+    return _REALIZED if realized else _OPEN_COMPATIBLE
 
 
 def blocked_placements(
@@ -545,8 +618,6 @@ def blocked_placements(
     blocked_rows, nonedge_rows = _derived_rows(state, range(n))
     bicliques = pattern.bicliques
     draw = distinct_positions(rng, n, k)
-    # reading a member off an Enum class costs about 0.1 us in CPython 3.11
-    blocked_class, realized_class = PlacementClass.BLOCKED, PlacementClass.REALIZED
     blocked = 0
     realized = 0
     kept: list[tuple[int, ...]] = []
@@ -555,11 +626,11 @@ def blocked_placements(
         # classify it unchecked
         placement = draw()
         verdict = _classify(blocked_rows, nonedge_rows, bicliques, placement)
-        if verdict is blocked_class:
+        if verdict is _BLOCKED:
             blocked += 1
             if len(kept) < keep_blocked:
                 kept.append(tuple(placement))
-        elif verdict is realized_class:
+        elif verdict is _REALIZED:
             realized += 1
     return BlockReport(
         sampled=sample_count,

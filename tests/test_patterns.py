@@ -214,12 +214,31 @@ def test_find_copy_empty_graph():
 
 
 def test_count_matches_brute_force_on_random_graphs():
+    # G(n, 0.4) graphs, then triangle-free process graphs at saturation and
+    # halfway there; K2,3, K3,3, C6 and K1,4 have levels whose candidate
+    # set must hold the images of several unplaced vertices (need > 1)
     rng = random.Random(7)
-    patterns = [cycle_pattern(4), path_pattern(3), complete_bipartite_pattern(2, 2)]
+    graphs = []
     for _ in range(20):
         n = rng.randint(4, 7)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
-        rows = rows_from_edges(n, edges)
+        graphs.append(rows_from_edges(n, edges))
+    for n, seed in itertools.product((8, 9), range(6)):
+        state = ProcessState(n, seed=seed)
+        state.run(Saturation())
+        log = list(state.iter_edges())
+        graphs += [rows_from_edges(n, log), rows_from_edges(n, log[: len(log) // 2])]
+    patterns = [
+        cycle_pattern(4),
+        path_pattern(3),
+        complete_bipartite_pattern(2, 2),
+        complete_bipartite_pattern(2, 3),
+        complete_bipartite_pattern(3, 3),
+        cycle_pattern(6),
+        complete_bipartite_pattern(1, 4),
+    ]
+    outcomes = {pattern.label: set() for pattern in patterns}
+    for rows in graphs:
         for pattern in patterns:
             expected = brute_force_copy_count(rows, pattern)
             mapping = find_copy(rows, pattern)
@@ -227,17 +246,35 @@ def test_count_matches_brute_force_on_random_graphs():
             if mapping is not None:
                 assert len(set(mapping)) == pattern.k
                 assert all(rows[mapping[a]] >> mapping[b] & 1 for a, b in pattern.edges)
+            outcomes[pattern.label].add(expected > 0)
+    assert all(seen == {False, True} for seen in outcomes.values()), outcomes
 
 
 # ----------------------------------------------------------------------
 # anchors and incremental appearance
 
 def test_anchor_orientation_counts():
-    assert len(anchor_orientations(cycle_pattern(4))) == 1
-    assert len(anchor_orientations(cycle_pattern(6))) == 1
-    assert len(anchor_orientations(complete_bipartite_pattern(6, 6))) == 1
-    # P4 has automorphism group {id, reversal}: 6 ordered pairs, 3 orbits
-    assert len(anchor_orientations(path_pattern(3))) == 3
+    # the first ordered edge of each orbit, in edge order
+    pinned = [
+        (cycle_pattern(4), [(0, 1)]),
+        (cycle_pattern(6), [(0, 1)]),
+        (cycle_pattern(8), [(0, 1)]),
+        (complete_bipartite_pattern(6, 6), [(0, 6)]),
+        (complete_bipartite_pattern(3, 3), [(0, 3)]),
+        # sides of unequal size are not swapped: two orbits per edge
+        (complete_bipartite_pattern(2, 4), [(0, 2), (2, 0)]),
+        (complete_bipartite_pattern(1, 4), [(0, 1), (1, 0)]),
+        (complete_bipartite_pattern(2, 3), [(0, 2), (2, 0)]),
+        # P4 has automorphism group {id, reversal}: 6 ordered pairs, 3 orbits
+        (path_pattern(3), [(0, 1), (1, 0), (1, 2)]),
+        (path_pattern(4), [(0, 1), (1, 0), (1, 2), (2, 1)]),
+        (
+            make_pattern(6, [(0, 1), (0, 3), (1, 2), (2, 5), (3, 4), (4, 5), (1, 4)]),
+            [(0, 1), (1, 0), (0, 3), (1, 4)],
+        ),
+    ]
+    for pattern, anchors in pinned:
+        assert list(anchor_orientations(pattern)) == anchors, pattern.label
     # one anchor per orbit of ordered edges, checked against every vertex
     # permutation
     rng = random.Random(8)
@@ -249,6 +286,9 @@ def test_anchor_orientation_counts():
         path_pattern(4),
         complete_bipartite_pattern(2, 3),
         complete_bipartite_pattern(1, 4),
+        complete_bipartite_pattern(3, 3),
+        complete_bipartite_pattern(2, 4),
+        cycle_pattern(8),
     ] + [random_triangle_free_pattern(rng.randint(2, 7), rng) for _ in range(30)]
     for pattern in patterns:
         orbits = brute_force_edge_orbits(pattern)
@@ -256,6 +296,46 @@ def test_anchor_orientation_counts():
         anchors = anchor_orientations(pattern)
         assert len(anchors) == len(orbits), pattern.edges
         assert len({orbit_of[pair] for pair in anchors}) == len(anchors), pattern.edges
+
+
+# first step and witness of each tracker over runs to saturation
+PINNED_FIRST_COPIES = {
+    (200, 1): {
+        "K3,3": (1000, (45, 155, 142, 153, 68, 19)),
+        "K3,4": (1325, (63, 123, 83, 112, 139, 35, 24)),
+        "K4,4": (1915, (28, 78, 75, 39, 40, 150, 65, 43)),
+        "C6": (156, (29, 174, 86, 33, 44, 189)),
+    },
+    (250, 2): {
+        "K3,3": (1437, (43, 185, 59, 229, 168, 4)),
+        "K3,4": (1713, (237, 208, 109, 156, 249, 92, 87)),
+        "K4,4": (3008, (80, 172, 123, 69, 212, 155, 82, 54)),
+        "C6": (165, (7, 211, 89, 115, 24, 139)),
+    },
+    (300, 3): {
+        "K3,3": (1595, (174, 156, 29, 276, 185, 79)),
+        "K3,4": (2449, (49, 230, 121, 113, 290, 279, 41)),
+        "K4,4": (3522, (89, 178, 131, 2, 184, 288, 141, 115)),
+        "C6": (229, (27, 230, 43, 30, 108, 99)),
+    },
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(PINNED_FIRST_COPIES))
+def test_tracker_first_copies_are_pinned(n, seed):
+    patterns = [
+        complete_bipartite_pattern(3, 3),
+        complete_bipartite_pattern(3, 4),
+        complete_bipartite_pattern(4, 4),
+        cycle_pattern(6),
+    ]
+    state = ProcessState(n, seed=seed)
+    trackers = [FirstAppearanceTracker(p) for p in patterns]
+    while (result := state.step()) is not None:
+        for tracker in trackers:
+            tracker.offer(state.edge_masks, *result.chosen, state.steps)
+    found = {t.pattern.label: (t.first_step, t.witness) for t in trackers}
+    assert found == PINNED_FIRST_COPIES[n, seed]
 
 
 def test_tracker_single_edge_fires_at_step_one():
