@@ -1,5 +1,9 @@
 """Run drivers: single runs, sweeps, audits, and their file outputs.
 
+The drivers own the run policy: `run_simulation` picks the new edges
+each pattern tracker is offered, and the permutation oracle is run by
+`trifree audit --oracle`, not by `audit_run`, which only audits.
+
 Outputs are plain files: `checkpoints.csv` (one row per trajectory
 checkpoint), `edges.log` (one line per insertion, `step u v`), and
 `summary.json`.  Sweeps add `sweep.csv` (one row per run, errors
@@ -28,7 +32,6 @@ from pathlib import Path
 from statistics import fmean, pstdev
 from typing import Iterable
 
-from .oracle import equivalence_tv
 from .patterns import (
     FirstAppearanceTracker,
     Pattern,
@@ -188,16 +191,17 @@ def load_patterns(paths: tuple[str, ...] | list[str]) -> list[Pattern]:
 
 def run_simulation(config: RunConfig) -> RunResult:
     """Execute one run with checkpoints, pattern tracking, and placement
-    classification at the horizon."""
+    classification at the horizon.  A tracker is offered each new edge
+    until its first copy, with `pattern_until_horizon` only up to the
+    horizon step, and none if its pattern has more vertices than n."""
     config.validate()
     started = time.perf_counter()
     params = TrajectoryParams(config.n)
     horizon = params.horizon
-    until = horizon if config.pattern_until_horizon else None
-    trackers = [
-        FirstAppearanceTracker(p, until_step=until)
-        for p in load_patterns(config.patterns)
-    ]
+    trackers = [FirstAppearanceTracker(p) for p in load_patterns(config.patterns)]
+    fitting = [t for t in trackers if t.pattern.k <= config.n]
+    last_offer = horizon if config.pattern_until_horizon else math.inf
+    live = list(fitting) if last_offer >= 1 else []  # the horizon is 0 at n <= 7
     state = ProcessState(config.n, config.seed)
     rng = measurement_rng(config.seed)
 
@@ -210,18 +214,19 @@ def run_simulation(config: RunConfig) -> RunResult:
 
     def hook(st: ProcessState, result: StepResult) -> None:
         i = st.steps
-        u, v = result.chosen
-        for tracker in trackers:
-            tracker.offer(st.edge_masks, u, v, i)
+        if live:
+            u, v = result.chosen
+            for tracker in tuple(live):
+                if tracker.offer(st.edge_masks, u, v, i):
+                    live.remove(tracker)
+            if i >= last_offer:
+                live.clear()
         if i == horizon:
-            for tracker in trackers:
-                if tracker.pattern.k <= st.n:
-                    report = blocked_placements(
-                        st, tracker.pattern, config.placement_samples, rng
-                    )
-                    blocked_at_horizon[tracker.pattern.label] = (
-                        report.fraction_blocked
-                    )
+            for tracker in fitting:
+                report = blocked_placements(
+                    st, tracker.pattern, config.placement_samples, rng
+                )
+                blocked_at_horizon[tracker.pattern.label] = report.fraction_blocked
         if i % cadence == 0 or i in grid:
             checkpoints.append(take_checkpoint(st, params, config.y_sample_count, rng))
 
@@ -412,38 +417,23 @@ def write_sweep_files(
 
 @dataclass(frozen=True)
 class AuditOutcome:
-    """Aggregate of periodic full-state audits and the optional oracle check."""
+    """Aggregate of periodic full-state audits."""
 
     audits: int
     failures: tuple[tuple[int, AuditReport], ...]  # (step, failing report)
-    tv_distance: float | None
-    tv_threshold: float
 
     @property
     def ok(self) -> bool:
-        if self.failures:
-            return False
-        if self.tv_distance is not None and self.tv_distance > self.tv_threshold:
-            return False
-        return True
+        return not self.failures
 
 
-def audit_run(
-    config: RunConfig,
-    *,
-    oracle: bool = False,
-    trials: int = 100_000,
-    tv_threshold: float = 0.02,
-) -> AuditOutcome:
+def audit_run(config: RunConfig) -> AuditOutcome:
     """Run with a full ground-truth audit at every checkpoint step.
 
-    With `oracle=True` (n <= 5 only) additionally compares final-graph
-    distributions between the engine and the permutation ordering
-    reference over `trials` runs each.
+    The distributional check against the permutation ordering is
+    `oracle.equivalence_tv`; `trifree audit --oracle` runs it before this.
     """
     config.validate()
-    if oracle and config.n > 5:
-        raise ValueError("the permutation-ordering comparison is exhaustive-scale; n must be <= 5")
     params = TrajectoryParams(config.n)
     horizon = params.horizon
     cadence = config.checkpoint_every or default_cadence(horizon)
@@ -464,13 +454,4 @@ def audit_run(
     audits += 1
     if not final_report.ok:
         failures.append((state.steps, final_report))
-
-    tv = None
-    if oracle:
-        tv = equivalence_tv(config.n, trials)
-    return AuditOutcome(
-        audits=audits,
-        failures=tuple(failures),
-        tv_distance=tv,
-        tv_threshold=tv_threshold,
-    )
+    return AuditOutcome(audits=audits, failures=tuple(failures))

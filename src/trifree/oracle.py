@@ -68,7 +68,13 @@ def total_variation(a: Counter, b: Counter) -> float:
 
 def equivalence_tv(n: int, trials: int) -> float:
     """TV distance between engine and permutation final-graph samples,
-    each drawn from its own fixed seed."""
+    each drawn from its own fixed seed.
+
+    Only n <= 5 is accepted: past that, the final graphs are too many
+    for `trials` samples to estimate their distribution.
+    """
+    if n > 5:
+        raise ValueError("the permutation-ordering comparison is exhaustive-scale; n must be <= 5")
     return total_variation(
         engine_distribution(n, trials, 7_000_000),
         permutation_distribution(n, trials, 42),

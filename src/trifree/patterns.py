@@ -22,7 +22,8 @@ candidate when the set is below the next level's `need`.  The search
 serves three callers.  `find_copy` searches a whole graph.
 `FirstAppearanceTracker` runs it incrementally: after inserting an edge,
 only copies whose image uses that edge are searched, anchored at one
-pattern edge orientation per automorphism orbit.  And those orbits come
+pattern edge orientation per automorphism orbit; the run driver decides
+which edges a tracker is offered.  And those orbits come
 from the same search run on the pattern's own rows, since a bijection of
 the k pattern vertices that maps edges to edges is an automorphism;
 every automorphism found marks the images of the anchors' orbits, and
@@ -323,11 +324,9 @@ def _extend(
 def find_copy(rows: list[int], pattern: Pattern) -> tuple[int, ...] | None:
     """An injective placement realising every pattern edge, or None.
 
-    `rows` are the graph's edge rows.  Patterns larger than the graph
-    simply have no copy.
+    `rows` are the graph's edge rows.  A pattern larger than the graph
+    has no copy: the first level's `need` is k, above the n candidates.
     """
-    if pattern.k > len(rows):
-        return None
     copy = _search(rows, _build_order(pattern, anchored=None), {}, 0)
     return None if copy is None else tuple(copy[a] for a in range(pattern.k))
 
@@ -376,13 +375,13 @@ class FirstAppearanceTracker:
 
     After each insertion, offer the new edge; only copies using that
     edge are searched, so a run that never produces a copy stays cheap
-    while the graph is sparse.  `until_step` bounds the search window
-    (useful for dense patterns, whose search cost grows late in a run).
+    while the graph is sparse.  Which insertions are offered is the
+    caller's choice (see `harness.run_simulation`); once the first copy
+    is recorded, later offers return False without a search.
     """
 
-    def __init__(self, pattern: Pattern, until_step: int | None = None) -> None:
+    def __init__(self, pattern: Pattern) -> None:
         self.pattern = pattern
-        self.until_step = until_step
         self.first_step: int | None = None
         self.witness: tuple[int, ...] | None = None
         self._anchors = list(anchor_orientations(pattern).items())
@@ -395,10 +394,6 @@ class FirstAppearanceTracker:
         records the first copy.
         """
         if self.first_step is not None:
-            return False
-        if self.until_step is not None and step > self.until_step:
-            return False
-        if self.pattern.k > len(rows):
             return False
         pattern_rows = self.pattern.rows
         deg_u = rows[u].bit_count()
@@ -509,16 +504,11 @@ _OPEN_COMPATIBLE = PlacementClass.OPEN_COMPATIBLE
 
 @dataclass(frozen=True)
 class BlockReport:
-    """Classification counts over sampled random placements.
-
-    kept_blocked holds a prefix of the blocked placements when the
-    caller asked to retain some for later re-examination.
-    """
+    """Classification counts over sampled random placements."""
 
     sampled: int
     blocked: int
     realized: int
-    kept_blocked: tuple[tuple[int, ...], ...] = ()
 
     @property
     def fraction_blocked(self) -> float:
@@ -599,7 +589,6 @@ def blocked_placements(
     pattern: Pattern,
     sample_count: int,
     rng: random.Random,
-    keep_blocked: int = 0,
 ) -> BlockReport:
     """Classify `sample_count` uniformly random placements.
 
@@ -607,10 +596,7 @@ def blocked_placements(
     `process.distinct_positions` with the draws of
     `rng.sample(range(n), k)`; which of `sample`'s branches that takes is
     settled once per call, and so are the derived rows of every vertex
-    that the classification reads.  Optionally keeps up to
-    `keep_blocked` of the blocked placements so a caller can re-examine
-    them later in the run (a blocked placement can never become
-    realized, because closed pairs never become edges).
+    that the classification reads.
     """
     n, k = state.n, pattern.k
     if k > n:
@@ -620,21 +606,12 @@ def blocked_placements(
     draw = distinct_positions(rng, n, k)
     blocked = 0
     realized = 0
-    kept: list[tuple[int, ...]] = []
     for _ in range(sample_count):
         # a uniformly random injective placement, valid by construction:
         # classify it unchecked
-        placement = draw()
-        verdict = _classify(blocked_rows, nonedge_rows, bicliques, placement)
+        verdict = _classify(blocked_rows, nonedge_rows, bicliques, draw())
         if verdict is _BLOCKED:
             blocked += 1
-            if len(kept) < keep_blocked:
-                kept.append(tuple(placement))
         elif verdict is _REALIZED:
             realized += 1
-    return BlockReport(
-        sampled=sample_count,
-        blocked=blocked,
-        realized=realized,
-        kept_blocked=tuple(kept),
-    )
+    return BlockReport(sampled=sample_count, blocked=blocked, realized=realized)

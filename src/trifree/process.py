@@ -502,15 +502,16 @@ class ProcessState:
     def audit(self, sample_size: int, rng: random.Random | None = None) -> AuditReport:
         """Recompute ground truth and compare against the stored state.
 
-        Checks `sample_size` random pairs (all pairs if the sample covers
-        the store) against statuses recomputed from the edge log alone,
-        and scans every logged edge for a common endpoint neighbour (a
-        triangle).  The ground truth is built as rows from the log, never
-        from the masks: a non-edge {v, w} is CLOSED iff w is in the OR of
-        the edge rows of v's neighbours.  A pair whose stored row
-        disagrees with the truth under either endpoint is suspect, and
-        only suspect pairs in the sample are compared one by one, so a
-        full audit costs O(n + edges) mask operations.
+        Checks `sample_size` pairs drawn with `rng` (all pairs, with no
+        rng, if the sample covers the store) against statuses recomputed
+        from the edge log alone, and scans every logged edge for a common
+        endpoint neighbour (a triangle).  The ground truth is built as
+        rows from the log, never from the masks: a non-edge {v, w} is
+        CLOSED iff w is in the OR of the edge rows of v's neighbours.  A
+        pair whose stored row disagrees with the truth under either
+        endpoint is suspect, and only suspect pairs in the sample are
+        compared one by one, so a full audit costs O(n + edges) mask
+        operations.
         """
         n = self.n
         total = self._total
@@ -519,7 +520,7 @@ class ProcessState:
             checked = total
         else:
             if rng is None:
-                rng = random.Random(0xA0D17)
+                raise ValueError(f"a sampled audit ({sample_size} pairs) needs an rng")
             ranks = rng.sample(range(total), sample_size)
             checked = sample_size
 

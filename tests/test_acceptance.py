@@ -29,6 +29,7 @@ the finite-n one, so the size of the finite-n effect stays visible.
 from __future__ import annotations
 
 import math
+import random
 from statistics import fmean
 
 import pytest
@@ -68,6 +69,19 @@ KEEP_BLOCKED = 100
 LIMIT_END_TIME = math.sqrt(math.log(N_BIG)) / (2.0 * math.sqrt(2.0))
 
 
+def first_blocked(state, pattern, rng, count):
+    """The first `count` BLOCKED placements among `PLACEMENT_SAMPLES`
+    drawn with `rng.sample`, the stream that `blocked_placements` draws."""
+    kept = []
+    for _ in range(PLACEMENT_SAMPLES):
+        placement = tuple(rng.sample(range(state.n), pattern.k))
+        if classify_placement(state, pattern, placement) == PlacementClass.BLOCKED:
+            kept.append(placement)
+            if len(kept) == count:
+                break
+    return kept
+
+
 def report(name: str, ok: bool, detail: str) -> str:
     line = f"ACCEPTANCE {'PASS' if ok else 'FAIL'} {name}: {detail}"
     print(line)
@@ -87,7 +101,7 @@ def big_runs():
         rng = measurement_rng(seed)
         c4 = FirstAppearanceTracker(cycle_pattern(4))
         c6 = FirstAppearanceTracker(cycle_pattern(6))
-        k66_tracker = FirstAppearanceTracker(k66, until_step=m)
+        k66_tracker = FirstAppearanceTracker(k66)
         checkpoints: dict[float, object] = {}
         at_m: dict[str, object] = {}
         while (result := state.step()) is not None:
@@ -95,20 +109,24 @@ def big_runs():
             u, v = result.chosen
             c4.offer(state.edge_masks, u, v, i)
             c6.offer(state.edge_masks, u, v, i)
-            k66_tracker.offer(state.edge_masks, u, v, i)
+            if i <= m:
+                k66_tracker.offer(state.edge_masks, u, v, i)
             if i == m:
-                at_m["blocked"] = blocked_placements(
-                    state, k66, PLACEMENT_SAMPLES, rng, keep_blocked=KEEP_BLOCKED
+                placements = random.Random()
+                placements.setstate(rng.getstate())
+                at_m["blocked"] = blocked_placements(state, k66, PLACEMENT_SAMPLES, rng)
+                at_m["kept_blocked"] = first_blocked(
+                    state, k66, placements, KEEP_BLOCKED
                 )
                 at_m["local_search"] = max_edges_k_subset(
                     state.edge_masks, 12, restarts=100, rng=rng
                 )
             if i in grid:
                 checkpoints[grid[i]] = take_checkpoint(state, params, 200, rng)
-        blocked = at_m["blocked"]
+        kept_blocked = at_m["kept_blocked"]
         re_realized = sum(
             1
-            for placement in blocked.kept_blocked
+            for placement in kept_blocked
             if classify_placement(state, k66, placement) == PlacementClass.REALIZED
         )
         runs.append(
@@ -119,8 +137,8 @@ def big_runs():
                 "first_c4": c4.first_step,
                 "first_c6": c6.first_step,
                 "first_k66": k66_tracker.first_step,
-                "blocked_fraction": blocked.fraction_blocked,
-                "kept_blocked": len(blocked.kept_blocked),
+                "blocked_fraction": at_m["blocked"].fraction_blocked,
+                "kept_blocked": len(kept_blocked),
                 "re_realized": re_realized,
                 "local_search_edges": at_m["local_search"].edges,
             }

@@ -31,7 +31,12 @@ from trifree.harness import (
     write_run_artifacts,
     write_sweep_files,
 )
-from trifree.patterns import FirstAppearanceTracker, cycle_pattern, pattern_text
+from trifree.patterns import (
+    FirstAppearanceTracker,
+    complete_bipartite_pattern,
+    cycle_pattern,
+    pattern_text,
+)
 from trifree.process import (
     PairStatus,
     ProcessState,
@@ -126,6 +131,72 @@ def test_pattern_tracking_through_config(tmp_path, c4_path):
     assert 1 <= appearance <= result.summary.final_step
     blocked = result.summary.blocked_fraction_at_horizon["c4"]
     assert blocked is not None and 0.0 <= blocked <= 1.0
+
+
+@pytest.fixture
+def pattern_paths(tmp_path):
+    """C4, C6, K3,3 and K6,6 pattern files."""
+    paths = []
+    for pattern in (
+        cycle_pattern(4),
+        cycle_pattern(6),
+        complete_bipartite_pattern(3, 3),
+        complete_bipartite_pattern(6, 6),
+    ):
+        path = tmp_path / f"{pattern.label}.pattern"
+        path.write_text(pattern_text(pattern))
+        paths.append(str(path))
+    return tuple(paths)
+
+
+@pytest.mark.parametrize(
+    "n, windowed, expected",
+    [
+        # the horizon is empty at n <= 7, so the window holds no step
+        (6, False, {"C4": 7, "C6": 6, "K3,3": 9, "K6,6": None}),
+        (6, True, {"C4": None, "C6": None, "K3,3": None, "K6,6": None}),
+        # K3,3 first appears past the horizon, step 387
+        (300, False, {"C4": 343, "C6": 229, "K3,3": 1595, "K6,6": None}),
+        (300, True, {"C4": 343, "C6": 229, "K3,3": None, "K6,6": None}),
+    ],
+)
+def test_pattern_until_horizon_window(pattern_paths, n, windowed, expected):
+    config = RunConfig(
+        n=n, seed=3, stop=Steps(2000), patterns=pattern_paths,
+        pattern_until_horizon=windowed,
+    )
+    assert run_simulation(config).summary.first_appearance == expected
+
+
+@pytest.mark.parametrize("n, windowed", [(10, False), (300, True)])
+def test_run_offers_only_live_fitting_trackers(monkeypatch, pattern_paths, n, windowed):
+    offers = []
+    offer = FirstAppearanceTracker.offer
+
+    def spy(self, rows, u, v, step):
+        found = offer(self, rows, u, v, step)
+        offers.append((self.pattern.label, step, found))
+        return found
+
+    monkeypatch.setattr(FirstAppearanceTracker, "offer", spy)
+    config = RunConfig(
+        n=n, seed=3, stop=Steps(2000), patterns=pattern_paths,
+        pattern_until_horizon=windowed,
+    )
+    summary = run_simulation(config).summary
+    last = summary.horizon if windowed else summary.final_step
+    for label, first in summary.first_appearance.items():
+        steps = [step for name, step, _ in offers if name == label]
+        hits = [step for name, step, found in offers if name == label and found]
+        if label == "K6,6" and n < 12:
+            assert steps == []  # more pattern vertices than graph vertices
+            continue
+        # every step up to the copy, or to the last offered step, and no more
+        assert steps == list(range(1, (first or last) + 1))
+        assert hits == ([] if first is None else [first])
+    # placements at the horizon cover every fitting pattern, found or not
+    unmeasured = [k for k, f in summary.blocked_fraction_at_horizon.items() if f is None]
+    assert unmeasured == (["K6,6"] if n < 12 else [])
 
 
 def test_pattern_labels_are_distinct(tmp_path):
@@ -368,7 +439,6 @@ def test_audit_run_clean():
     assert outcome.ok
     assert outcome.audits >= 2
     assert outcome.failures == ()
-    assert outcome.tv_distance is None
 
 
 def test_audit_run_catches_corruption(monkeypatch):
@@ -395,15 +465,23 @@ def test_audit_run_catches_corruption(monkeypatch):
     assert report.discrepancies or not report.open_count_consistent
 
 
-def test_audit_oracle_smoke():
-    outcome = audit_run(RunConfig(n=4, seed=1), oracle=True, trials=5000, tv_threshold=0.05)
-    assert outcome.tv_distance is not None
-    assert outcome.ok
+def test_audit_oracle_smoke(capsys):
+    argv = ["audit", "--n", "4", "--seed", "1", "--oracle", "--trials", "5000"]
+    assert main(argv + ["--tv-threshold", "0.05"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("permutation-ordering TV distance: ")
+    assert lines[1].endswith(" (threshold 0.05) ok")
+    assert lines[2] == "audit clean"
+    # a clean run still fails when the distributions are too far apart
+    assert main(argv + ["--tv-threshold", "0"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith(" (threshold 0.0) FAILED")
+    assert "audit clean" not in lines
 
 
 def test_audit_oracle_needs_small_n():
-    with pytest.raises(ValueError):
-        audit_run(RunConfig(n=6, seed=1), oracle=True, trials=10)
+    with pytest.raises(ValueError, match="n must be <= 5"):
+        oracle.equivalence_tv(6, trials=10)
 
 
 # ----------------------------------------------------------------------

@@ -381,14 +381,6 @@ def test_tracker_matches_from_scratch_search():
             assert tracker.first_step == expected[tracker.pattern.label]
 
 
-def test_tracker_until_step_window():
-    state = ProcessState(12, seed=1)
-    tracker = FirstAppearanceTracker(single_edge_pattern(), until_step=0)
-    result = state.step()
-    assert not tracker.offer(state.edge_masks, *result.chosen, state.steps)
-    assert tracker.first_step is None
-
-
 def test_tracker_witness_is_a_copy():
     state = ProcessState(16, seed=4)
     pattern = cycle_pattern(4)
@@ -559,38 +551,35 @@ def test_classify_placement_matches_pair_status_reference():
     assert seen == set(PlacementClass)
 
 
-def test_blocked_placements_keep_and_monotone_never_realized():
+def test_blocked_placements_stay_blocked():
     state = ProcessState(15, seed=9)
     state.run(Steps(12))
     pattern = path_pattern(2)
-    report = blocked_placements(
-        state, pattern, 2000, random.Random(4), keep_blocked=50
-    )
-    kept = report.kept_blocked
-    assert len(kept) <= 50
-    assert all(
-        classify_placement(state, pattern, p) == PlacementClass.BLOCKED for p in kept
-    )
+    rng = random.Random(4)
+    placements = [tuple(rng.sample(range(state.n), pattern.k)) for _ in range(2000)]
+    blocked = [
+        p for p in placements
+        if classify_placement(state, pattern, p) == PlacementClass.BLOCKED
+    ]
+    assert 0 < len(blocked) < len(placements)
     state.run(Saturation())
-    # blocked placements can never become realized later in the run
-    for placement in kept:
-        assert classify_placement(state, pattern, placement) != PlacementClass.REALIZED
+    # closed pairs never become edges, so a blocked placement stays blocked
+    # and never becomes realized later in the run
+    for placement in blocked:
+        assert classify_placement(state, pattern, placement) == PlacementClass.BLOCKED
 
 
-def reference_blocked_placements(state, pattern, sample_count, rng, keep_blocked):
+def reference_blocked_placements(state, pattern, sample_count, rng):
     """`blocked_placements` with `rng.sample` placements (test-side reference)."""
     blocked = realized = 0
-    kept = []
     for _ in range(sample_count):
         placement = tuple(rng.sample(range(state.n), pattern.k))
         verdict = classify_placement(state, pattern, placement)
         if verdict == PlacementClass.BLOCKED:
             blocked += 1
-            if len(kept) < keep_blocked:
-                kept.append(placement)
         elif verdict == PlacementClass.REALIZED:
             realized += 1
-    return BlockReport(sample_count, blocked, realized, tuple(kept))
+    return BlockReport(sample_count, blocked, realized)
 
 
 @pytest.mark.parametrize(
@@ -609,11 +598,10 @@ def test_blocked_placements_matches_sample_reference(n, pattern, steps):
     state = ProcessState(n, seed=3)
     state.run(Steps(steps))
     a, b = random.Random(8), random.Random(8)
-    report = blocked_placements(state, pattern, 3000, a, keep_blocked=40)
-    assert report == reference_blocked_placements(state, pattern, 3000, b, 40)
+    report = blocked_placements(state, pattern, 3000, a)
+    assert report == reference_blocked_placements(state, pattern, 3000, b)
     assert a.getstate() == b.getstate()
     assert 0 < report.blocked < report.sampled
-    assert len(report.kept_blocked) == 40
 
 
 def test_blocked_placements_matches_sample_reference_when_realized():
@@ -622,8 +610,8 @@ def test_blocked_placements_matches_sample_reference_when_realized():
     state.run(Saturation())
     pattern = path_pattern(2)
     a, b = random.Random(8), random.Random(8)
-    report = blocked_placements(state, pattern, 3000, a, keep_blocked=40)
-    assert report == reference_blocked_placements(state, pattern, 3000, b, 40)
+    report = blocked_placements(state, pattern, 3000, a)
+    assert report == reference_blocked_placements(state, pattern, 3000, b)
     assert a.getstate() == b.getstate()
     assert report.realized > 0
     assert 0 < report.blocked < report.sampled
@@ -635,7 +623,7 @@ def test_blocked_placements_leaves_the_state_alone():
     open_before = list(state.open_masks)
     edges_before = list(state.edge_masks)
     for pattern in (cycle_pattern(4), complete_bipartite_pattern(6, 6)):
-        blocked_placements(state, pattern, 500, random.Random(1), keep_blocked=5)
+        blocked_placements(state, pattern, 500, random.Random(1))
         classify_placement(state, pattern, tuple(range(pattern.k)))
     assert state.open_masks == open_before
     assert state.edge_masks == edges_before
