@@ -386,6 +386,8 @@ def test_audit_sampling_subset():
     report = state.audit(17, rng=random.Random(1))
     assert report.pairs_checked == 17
     assert report.ok
+    with pytest.raises(ValueError, match="needs an rng"):
+        state.audit(17)  # a sample has no hidden seed
 
 
 # ----------------------------------------------------------------------
