@@ -8,10 +8,17 @@ status store, no open-pair sampler) so the two code paths can be
 compared distributionally: at small n the total variation distance
 between their final-edge-set distributions must vanish with the trial
 count.
+
+A pass keeps its graph as int bit rows, one per vertex, and admits a
+pair iff the rows of its endpoints share no bit.  Its shuffle writes out
+`random.shuffle`: the same draws and the same final RNG state, which
+`test_permutation_pass_matches_shuffle_reference` pins on the running
+Python.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 
@@ -20,16 +27,30 @@ from .process import ProcessState, Saturation
 EdgeSet = frozenset[tuple[int, int]]
 
 
+@functools.cache
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+
+
 def permutation_final_edges(n: int, rng: random.Random) -> EdgeSet:
     """Final graph of one permutation-ordered insertion pass."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    rng.shuffle(pairs)
-    adjacency: list[set[int]] = [set() for _ in range(n)]
+    pairs = list(_pairs(n))
+    # rng.shuffle(pairs), written out: Fisher-Yates over CPython's
+    # _randbelow_with_getrandbits, a uniform draw below i + 1 by redraws
+    getrandbits = rng.getrandbits
+    for i in range(len(pairs) - 1, 0, -1):
+        m = i + 1
+        k = m.bit_length()
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        pairs[i], pairs[j] = pairs[j], pairs[i]
+    adjacency = [0] * n
     edges: list[tuple[int, int]] = []
     for u, v in pairs:
-        if adjacency[u].isdisjoint(adjacency[v]):
-            adjacency[u].add(v)
-            adjacency[v].add(u)
+        if not adjacency[u] & adjacency[v]:
+            adjacency[u] |= 1 << v
+            adjacency[v] |= 1 << u
             edges.append((u, v))
     return frozenset(edges)
 

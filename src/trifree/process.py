@@ -40,6 +40,7 @@ decoded only when read.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import random
@@ -81,6 +82,12 @@ def estimated_bytes(n: int) -> int:
     index = array(index_typecode(total)).itemsize * total // 3
     edges = EDGE_COUNT_BOUND * n * math.sqrt(n * math.log(n))
     return index + n * n // 4 + int(BYTES_PER_EDGE * edges)
+
+
+@functools.cache  # n small ints per n, a state holds them anyway
+def _rowbase(n: int) -> tuple[int, ...]:
+    """The rank of pair (a, b), a < b, is _rowbase(n)[a] + b."""
+    return tuple(a * n - a * (a + 1) // 2 - a - 1 for a in range(n))
 
 
 @functools.cache
@@ -181,6 +188,11 @@ class StepResult(NamedTuple):
         return tuple(pairs)
 
 
+# StepResult((u, v), close_v, close_u) without the NamedTuple's Python
+# __new__: _new_step(StepResult, ((u, v), close_v, close_u))
+_new_step = tuple.__new__
+
+
 @dataclass(frozen=True)
 class Saturation:
     """Run until no open pair remains."""
@@ -233,8 +245,7 @@ class ProcessState:
         self.seed = seed
         total = n * (n - 1) // 2
         self._total = total
-        # rank of pair (a, b) with a < b is _rowbase[a] + b
-        self._rowbase = [a * n - a * (a + 1) // 2 - a - 1 for a in range(n)]
+        self._rowbase = _rowbase(n)
         full = (1 << n) - 1
         self._open_mask = [full ^ (1 << v) for v in range(n)]  # all OPEN
         self._adj_mask = [0] * n
@@ -407,7 +418,7 @@ class ProcessState:
         open_mask[u] ^= close_u | bit_v
         adj_mask[u] |= bit_v
         adj_mask[v] |= bit_u
-        result = StepResult((u, v), close_v, close_u)
+        result = _new_step(StepResult, ((u, v), close_v, close_u))
         while close_v:
             w = close_v.bit_length() - 1
             close_v ^= 1 << w
@@ -432,12 +443,12 @@ class ProcessState:
         `on_step` fires after each insertion with the updated state.
         """
         if isinstance(stop, Saturation):
-            limit = None
+            left: Iterable[None] = itertools.repeat(None)
         elif isinstance(stop, Steps):
-            limit = stop.limit
+            left = itertools.repeat(None, max(0, stop.limit - self.steps))
         else:
             raise TypeError(f"unknown stop condition: {stop!r}")
-        while limit is None or self.steps < limit:
+        for _ in left:
             result = self.step()
             if result is None:
                 break

@@ -6,6 +6,8 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import pytest
+
 from trifree.oracle import (
     engine_distribution,
     equivalence_tv,
@@ -29,6 +31,33 @@ def test_permutation_final_graph_is_maximal_triangle_free():
                 assert not (adj[u] & adj[v])  # triangle-free
             else:
                 assert adj[u] & adj[v]  # maximal: some common neighbour
+
+
+def reference_permutation_final_edges(n, rng):
+    """`permutation_final_edges` as it was written with `rng.shuffle` and
+    adjacency sets (test-side reference)."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    adjacency = [set() for _ in range(n)]
+    edges = []
+    for u, v in pairs:
+        if adjacency[u].isdisjoint(adjacency[v]):
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+            edges.append((u, v))
+    return frozenset(edges)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_permutation_pass_matches_shuffle_reference(n):
+    for seed in (0, 1, 7, 2024):
+        a = random.Random(seed)
+        b = random.Random(seed)
+        for trial in range(40):
+            assert permutation_final_edges(n, b) == reference_permutation_final_edges(
+                n, a
+            ), (n, seed, trial)
+        assert a.getstate() == b.getstate(), (n, seed)
 
 
 def test_total_variation_bounds():

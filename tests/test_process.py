@@ -19,6 +19,7 @@ from trifree.process import (
     Saturation,
     SizingError,
     Steps,
+    StepResult,
     distinct_positions,
     estimated_bytes,
 )
@@ -144,6 +145,47 @@ def test_star_insertion_closes_spokes():
     result = state.force_step(0, 1)
     assert result.chosen == (0, 1)
     assert set(result.newly_closed) == {(1, 2), (1, 3), (1, 4)}
+
+
+def test_step_result_equals_the_named_tuple_built_one():
+    state = ProcessState(5, seed=0)
+    for w in (2, 3, 4):
+        state.force_step(0, w)
+    result = state.force_step(0, 1)
+    built = StepResult((0, 1), result.close_v, result.close_u)
+    assert type(result) is StepResult
+    assert result == built and hash(result) == hash(built)
+    assert result.newly_closed == built.newly_closed == ((1, 4), (1, 3), (1, 2))
+    state = ProcessState(12, seed=3)
+    while (result := state.step()) is not None:
+        built = StepResult(*result)
+        assert type(result) is StepResult and result == built
+        assert result.newly_closed == built.newly_closed
+
+
+def test_run_steps_counts_on_from_the_current_step():
+    calls = []
+
+    def hook(st, result):
+        assert st.steps == len(calls) + 1  # after the insertion
+        calls.append(result.chosen)
+
+    state = ProcessState(30, seed=8)
+    state.run(Steps(10), hook)
+    assert state.steps == 10 and calls == edge_list(state)
+    # at or past the limit: no step, no draw, no hook
+    rng_state, open_pairs = state._rng.getstate(), state.open_pairs
+    for k in (10, 4, 0, -3):
+        state.run(Steps(k), hook)
+    assert state.steps == 10 and len(calls) == 10
+    assert state._rng.getstate() == rng_state and state.open_pairs == open_pairs
+    # a second run continues where the first stopped
+    state.run(Steps(25), hook)
+    reference = ProcessState(30, seed=8)
+    reference.run(Steps(25))
+    assert state.steps == 25 and calls == edge_list(state) == edge_list(reference)
+    state.run(Saturation(), hook)
+    assert state.open_pairs == 0 and calls == edge_list(state)
 
 
 def test_saturation_signal_is_not_an_error():

@@ -13,15 +13,15 @@ KEPT_UNREAD = {
     "patterns.pattern_text": "perfbench/workloads.py writes its pattern files with it",
     "patterns.single_edge_pattern": "test reference: one-edge placements sample the closed share",
     "patterns.path_pattern": "test reference: tracker and anchor tests on paths",
-    "patterns.cycle_pattern": "acceptance criterion 6 (C4, C6); ROADMAP item 3",
-    "patterns.complete_bipartite_pattern": "acceptance criteria 7 and 8 (K6,6); ROADMAP item 3",
+    "patterns.cycle_pattern": "acceptance criterion 6 (C4, C6); ROADMAP item 4",
+    "patterns.complete_bipartite_pattern": "acceptance criteria 7 and 8 (K6,6); ROADMAP item 4",
     "patterns.find_copy": "test reference for FirstAppearanceTracker's incremental search",
-    "patterns.max_edges_k_subset": "acceptance criterion 7's densest 12-subset; ROADMAP item 3",
+    "patterns.max_edges_k_subset": "acceptance criterion 7's densest 12-subset; ROADMAP item 4",
     "patterns.classify_placement": "acceptance criterion 8 re-examines kept blocked placements",
-    "process.StepResult.newly_closed": "perfbench/spans.py counts closed pairs; ROADMAP item 7",
-    "process.ProcessState.pair_status": "test fixtures over the public state; ROADMAP item 7",
-    "process.ProcessState.force_step": "test fixtures over the public state; ROADMAP item 7",
-    "trajectory.finite_partial_vertex_curve": "acceptance criterion 4's curve y~; ROADMAP item 4",
+    "process.StepResult.newly_closed": "perfbench/spans.py counts closed pairs; ROADMAP item 1",
+    "process.ProcessState.pair_status": "test fixtures over the public state",
+    "process.ProcessState.force_step": "test fixtures over the public state",
+    "trajectory.finite_partial_vertex_curve": "acceptance criterion 4's curve y~; ROADMAP item 5",
 }
 
 
