@@ -27,7 +27,7 @@ from .process import ProcessState, Saturation
 EdgeSet = frozenset[tuple[int, int]]
 
 
-@functools.cache
+@functools.cache  # one tuple of all pairs per n; the oracle runs at tiny n
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
