@@ -19,9 +19,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .harness import (
-    DEFAULT_PLACEMENT_SAMPLES,
     DEFAULT_SEED,
-    DEFAULT_Y_SAMPLES,
     RunConfig,
     audit_run,
     parse_stop,
@@ -52,8 +50,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # flags shared through `parents=`: `run` and `audit` take one n, every
-    # stepping command takes `stepping`, and the commands that measure and
-    # write runs take `measuring`
+    # stepping command takes `stepping`, and the commands that write files
+    # take `writing`
     one_n = argparse.ArgumentParser(add_help=False)
     one_n.add_argument("--n", type=int, required=True, help="vertex count (>= 2)")
     stepping = argparse.ArgumentParser(add_help=False)
@@ -68,52 +66,25 @@ def build_parser() -> _Parser:
         default="saturation",
         help="saturation | steps:K | horizon:X (multiple of the tracking horizon)",
     )
-    stepping.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="K",
-        help="checkpoint cadence in steps (default: ceil(horizon/50))",
+    writing = argparse.ArgumentParser(add_help=False)
+    writing.add_argument(
+        "--out", default="trifree_out", metavar="DIR", help="output directory"
     )
-    measuring = argparse.ArgumentParser(add_help=False)
-    measuring.add_argument(
-        "--y-samples",
-        type=int,
-        default=DEFAULT_Y_SAMPLES,
-        metavar="K",
-        help="open pairs sampled per checkpoint",
+
+    run_p = sub.add_parser(
+        "run", parents=[one_n, stepping, writing], help="single simulation run"
     )
-    measuring.add_argument(
+    run_p.add_argument(
         "--pattern",
         action="append",
         default=[],
         metavar="FILE",
         help="pattern file to monitor (repeatable)",
     )
-    measuring.add_argument(
-        "--pattern-until-horizon",
-        action="store_true",
-        help="stop searching for pattern copies past the tracking horizon "
-        "(recommended for dense patterns on long runs)",
-    )
-    measuring.add_argument(
-        "--out", default="trifree_out", metavar="DIR", help="output directory"
-    )
-
-    run_p = sub.add_parser(
-        "run", parents=[one_n, stepping, measuring], help="single simulation run"
-    )
-    run_p.add_argument(
-        "--placement-samples",
-        type=int,
-        default=DEFAULT_PLACEMENT_SAMPLES,
-        metavar="K",
-        help="random placements classified at the horizon per pattern",
-    )
 
     sweep_p = sub.add_parser(
         "sweep",
-        parents=[stepping, measuring],
+        parents=[stepping, writing],
         help="grid of runs over n values and seeds",
     )
     sweep_p.add_argument(
@@ -144,25 +115,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _run_config(args: argparse.Namespace, n: int) -> RunConfig:
-    """The run that a command's flags describe; flags it lacks keep the defaults."""
-    fields: dict = {
-        "n": n,
-        "seed": args.seed,
-        "stop": parse_stop(args.stop),
-        "checkpoint_every": args.checkpoint_every,
-    }
-    if "pattern" in args:
-        fields["y_sample_count"] = args.y_samples
-        fields["patterns"] = tuple(args.pattern)
-        fields["pattern_until_horizon"] = args.pattern_until_horizon
-    if "placement_samples" in args:
-        fields["placement_samples"] = args.placement_samples
-    return RunConfig(**fields)
+def _run_config(
+    args: argparse.Namespace, n: int, patterns: tuple[str, ...] = ()
+) -> RunConfig:
+    """The run that a command's flags describe."""
+    return RunConfig(n=n, seed=args.seed, stop=parse_stop(args.stop), patterns=patterns)
 
 
 def _do_run(args: argparse.Namespace) -> int:
-    config = _run_config(args, args.n)
+    config = _run_config(args, args.n, tuple(args.pattern))
     summary = write_run_artifacts(run_simulation(config), Path(args.out))
     print(json.dumps(asdict(summary), indent=2, sort_keys=True))
     return EXIT_OK
@@ -221,7 +182,8 @@ def _do_pattern_check(args: argparse.Namespace) -> int:
 
 
 def _print_warning(message: Warning | str, *_location: object) -> None:
-    # one write per line, so the lines of parallel sweep workers never mix
+    # the message alone, on one line; a sweep's worker warnings get here too,
+    # since `sweep` re-raises them in this process
     sys.stderr.write(f"warning: {message}\n")
 
 

@@ -11,7 +11,8 @@ included) and `sweep_summary.json` (per-n aggregates).  All schemas
 carry a schema_version field or header so downstream tooling can detect
 drift.
 
-Determinism: a run is a pure function of (n, seed, stop); measurement
+Determinism: a run is a pure function of its `RunConfig` (n, seed,
+stop and patterns), all of which `summary.json` records; measurement
 sampling (checkpoint pairs, placements, local search restarts) uses a
 separate RNG derived from the seed, so it never perturbs the edge
 sequence.  Sweeps derive per-run seeds as base_seed + run_index, which
@@ -64,8 +65,8 @@ SCHEMA_VERSION = "1"
 DEFAULT_SEED = 1729
 # measurement RNG seed is derived from the run seed with this fixed mask
 MEASUREMENT_SEED_XOR = 0x9E3779B9
-DEFAULT_Y_SAMPLES = 200
-DEFAULT_PLACEMENT_SAMPLES = 10_000
+Y_SAMPLES = 200  # open pairs sampled per checkpoint
+PLACEMENT_SAMPLES = 10_000  # placements classified per pattern at the horizon
 SWEEP_GRID = GRID_TIMES[:5]
 
 
@@ -113,26 +114,16 @@ def stop_label(stop: StopCondition | Horizon) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to reproduce one run."""
+    """Everything needed to reproduce one run; summary.json records it all."""
 
     n: int
     seed: int = DEFAULT_SEED
     stop: StopCondition | Horizon = Saturation()
-    checkpoint_every: int | None = None  # None: ceil(m / 50)
-    y_sample_count: int = DEFAULT_Y_SAMPLES
     patterns: tuple[str, ...] = ()  # pattern file paths
-    placement_samples: int = DEFAULT_PLACEMENT_SAMPLES
-    pattern_until_horizon: bool = False
 
     def validate(self) -> None:
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        if self.y_sample_count < 0:
-            raise ValueError("y_sample_count must be >= 0")
-        if self.placement_samples < 1:
-            raise ValueError("placement_samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -192,22 +183,21 @@ def load_patterns(paths: tuple[str, ...] | list[str]) -> list[Pattern]:
 def run_simulation(config: RunConfig) -> RunResult:
     """Execute one run with checkpoints, pattern tracking, and placement
     classification at the horizon.  A tracker is offered each new edge
-    until its first copy, with `pattern_until_horizon` only up to the
-    horizon step, and none if its pattern has more vertices than n."""
+    until its first copy, and none if its pattern has more vertices
+    than n."""
     config.validate()
     started = time.perf_counter()
     params = TrajectoryParams(config.n)
     horizon = params.horizon
     trackers = [FirstAppearanceTracker(p) for p in load_patterns(config.patterns)]
     fitting = [t for t in trackers if t.pattern.k <= config.n]
-    last_offer = horizon if config.pattern_until_horizon else math.inf
-    live = list(fitting) if last_offer >= 1 else []  # the horizon is 0 at n <= 7
+    live = list(fitting)
     state = ProcessState(config.n, config.seed)
     rng = measurement_rng(config.seed)
 
-    cadence = config.checkpoint_every or default_cadence(horizon)
+    cadence = default_cadence(horizon)
     grid = grid_steps(config.n, GRID_TIMES)
-    checkpoints = [take_checkpoint(state, params, config.y_sample_count, rng)]
+    checkpoints = [take_checkpoint(state, params, Y_SAMPLES, rng)]
     blocked_at_horizon: dict[str, float | None] = {
         t.pattern.label: None for t in trackers
     }
@@ -219,20 +209,16 @@ def run_simulation(config: RunConfig) -> RunResult:
             for tracker in tuple(live):
                 if tracker.offer(st.edge_masks, u, v, i):
                     live.remove(tracker)
-            if i >= last_offer:
-                live.clear()
         if i == horizon:
             for tracker in fitting:
-                report = blocked_placements(
-                    st, tracker.pattern, config.placement_samples, rng
-                )
+                report = blocked_placements(st, tracker.pattern, PLACEMENT_SAMPLES, rng)
                 blocked_at_horizon[tracker.pattern.label] = report.fraction_blocked
         if i % cadence == 0 or i in grid:
-            checkpoints.append(take_checkpoint(st, params, config.y_sample_count, rng))
+            checkpoints.append(take_checkpoint(st, params, Y_SAMPLES, rng))
 
     state.run(_resolve_stop(config.stop, horizon), on_step=hook)
     if checkpoints[-1].step != state.steps:
-        checkpoints.append(take_checkpoint(state, params, config.y_sample_count, rng))
+        checkpoints.append(take_checkpoint(state, params, Y_SAMPLES, rng))
 
     summary = RunSummary(
         schema_version=SCHEMA_VERSION,
@@ -356,10 +342,12 @@ def sweep(
     re-raised here once, after the runs.  Returns the
     per-run rows and the per-n aggregate rows.  Raises SizingError before
     any run starts when the largest run, once per concurrent worker, would
-    not fit in physical memory.
+    not fit in physical memory, and ValueError when an n is repeated.
     """
     if not n_values or seeds_per_n < 1:
         raise ValueError("need at least one n and one seed per n")
+    if len(set(n_values)) < len(n_values):
+        raise ValueError(f"each n may appear once, got {n_values}")
     configs = []
     for ni, n in enumerate(n_values):
         for s in range(seeds_per_n):
@@ -428,7 +416,8 @@ class AuditOutcome:
 
 
 def audit_run(config: RunConfig) -> AuditOutcome:
-    """Run with a full ground-truth audit at every checkpoint step.
+    """Run with a full ground-truth audit at every checkpoint step and
+    at the final step, each step audited once.
 
     The distributional check against the permutation ordering is
     `oracle.equivalence_tv`; `trifree audit --oracle` runs it before this.
@@ -436,22 +425,22 @@ def audit_run(config: RunConfig) -> AuditOutcome:
     config.validate()
     params = TrajectoryParams(config.n)
     horizon = params.horizon
-    cadence = config.checkpoint_every or default_cadence(horizon)
+    cadence = default_cadence(horizon)
     state = ProcessState(config.n, config.seed)
+    audited: list[int] = []
     failures: list[tuple[int, AuditReport]] = []
-    audits = 0
+
+    def audit(st: ProcessState) -> None:
+        report = st.audit(st.total_pairs)
+        audited.append(st.steps)
+        if not report.ok:
+            failures.append((st.steps, report))
 
     def hook(st: ProcessState, result: StepResult) -> None:
-        nonlocal audits
         if st.steps % cadence == 0:
-            report = st.audit(st.total_pairs)
-            audits += 1
-            if not report.ok:
-                failures.append((st.steps, report))
+            audit(st)
 
     state.run(_resolve_stop(config.stop, horizon), on_step=hook)
-    final_report = state.audit(state.total_pairs)
-    audits += 1
-    if not final_report.ok:
-        failures.append((state.steps, final_report))
-    return AuditOutcome(audits=audits, failures=tuple(failures))
+    if not audited or audited[-1] != state.steps:  # the final step, unless just audited
+        audit(state)
+    return AuditOutcome(audits=len(audited), failures=tuple(failures))

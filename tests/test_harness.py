@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -46,7 +47,7 @@ from trifree.process import (
     Steps,
     estimated_bytes,
 )
-from trifree.trajectory import CHECKPOINT_COLUMNS, step_horizon
+from trifree.trajectory import CHECKPOINT_COLUMNS, default_cadence, step_horizon
 
 C4_FILE_TEXT = pattern_text(cycle_pattern(4))
 
@@ -103,7 +104,7 @@ def test_run_simulation_horizon_stop():
 
 
 def test_run_simulation_horizon_stop_at_scale():
-    config = RunConfig(n=2000, seed=7, stop=Horizon(1.0), checkpoint_every=2000)
+    config = RunConfig(n=2000, seed=7, stop=Horizon(1.0))
     result = run_simulation(config)
     assert result.summary.final_step == step_horizon(2000) == 7705
     assert not result.summary.saturated
@@ -115,12 +116,14 @@ def test_run_rejects_tiny_n():
 
 
 def test_checkpoints_cover_start_and_end():
-    config = RunConfig(n=20, seed=3, checkpoint_every=7)
+    # the run ends off the cadence, so the final checkpoint is an extra one
+    config = RunConfig(n=300, seed=3, stop=Steps(1001))
     result = run_simulation(config)
     steps = [cp.step for cp in result.checkpoints]
+    assert default_cadence(result.summary.horizon) == 8
     assert steps[0] == 0
-    assert steps[-1] == result.summary.final_step
-    assert steps == sorted(steps)
+    assert steps[-1] == result.summary.final_step == 1001
+    assert steps == sorted(set(steps))
 
 
 def test_pattern_tracking_through_config(tmp_path, c4_path):
@@ -150,26 +153,21 @@ def pattern_paths(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "n, windowed, expected",
+    "n, expected",
     [
-        # the horizon is empty at n <= 7, so the window holds no step
-        (6, False, {"C4": 7, "C6": 6, "K3,3": 9, "K6,6": None}),
-        (6, True, {"C4": None, "C6": None, "K3,3": None, "K6,6": None}),
+        # the horizon is empty at n <= 7; the search still runs to the stop
+        (6, {"C4": 7, "C6": 6, "K3,3": 9, "K6,6": None}),
         # K3,3 first appears past the horizon, step 387
-        (300, False, {"C4": 343, "C6": 229, "K3,3": 1595, "K6,6": None}),
-        (300, True, {"C4": 343, "C6": 229, "K3,3": None, "K6,6": None}),
+        (300, {"C4": 343, "C6": 229, "K3,3": 1595, "K6,6": None}),
     ],
 )
-def test_pattern_until_horizon_window(pattern_paths, n, windowed, expected):
-    config = RunConfig(
-        n=n, seed=3, stop=Steps(2000), patterns=pattern_paths,
-        pattern_until_horizon=windowed,
-    )
+def test_first_appearances_are_searched_up_to_the_stop(pattern_paths, n, expected):
+    config = RunConfig(n=n, seed=3, stop=Steps(2000), patterns=pattern_paths)
     assert run_simulation(config).summary.first_appearance == expected
 
 
-@pytest.mark.parametrize("n, windowed", [(6, True), (10, False), (300, True)])
-def test_run_offers_only_live_fitting_trackers(monkeypatch, pattern_paths, n, windowed):
+@pytest.mark.parametrize("n", [6, 10, 300])
+def test_run_offers_only_live_fitting_trackers(monkeypatch, pattern_paths, n):
     offers = []
     offer = FirstAppearanceTracker.offer
 
@@ -179,20 +177,16 @@ def test_run_offers_only_live_fitting_trackers(monkeypatch, pattern_paths, n, wi
         return found
 
     monkeypatch.setattr(FirstAppearanceTracker, "offer", spy)
-    config = RunConfig(
-        n=n, seed=3, stop=Steps(2000), patterns=pattern_paths,
-        pattern_until_horizon=windowed,
-    )
+    config = RunConfig(n=n, seed=3, stop=Steps(2000), patterns=pattern_paths)
     summary = run_simulation(config).summary
-    last = summary.horizon if windowed else summary.final_step
     for label, first in summary.first_appearance.items():
         steps = [step for name, step, _ in offers if name == label]
         hits = [step for name, step, found in offers if name == label and found]
         if label == "K6,6" and n < 12:
             assert steps == []  # more pattern vertices than graph vertices
             continue
-        # every step up to the copy, or to the last offered step, and no more
-        assert steps == list(range(1, (first or last) + 1))
+        # every step up to the copy, or to the run's last step, and no more
+        assert steps == list(range(1, (first or summary.final_step) + 1))
         assert hits == ([] if first is None else [first])
     if summary.horizon:  # placements cover every fitting pattern, found or not
         fractions = summary.blocked_fraction_at_horizon
@@ -217,7 +211,7 @@ def test_pattern_labels_are_distinct(tmp_path):
 
 
 def test_run_artifacts_files(tmp_path, c4_path):
-    config = RunConfig(n=20, seed=9, patterns=(c4_path,), checkpoint_every=5)
+    config = RunConfig(n=20, seed=9, patterns=(c4_path,))
     summary = write_run_artifacts(run_simulation(config), tmp_path / "out")
     out = tmp_path / "out"
 
@@ -244,7 +238,7 @@ def test_run_artifacts_files(tmp_path, c4_path):
 def test_edge_log_is_written_from_the_log_columns(tmp_path):
     # the file is streamed: writing a saturated n = 1000 run's 35k edges
     # must not build them all in memory first
-    config = RunConfig(n=1000, seed=1, checkpoint_every=10**9, y_sample_count=0)
+    config = RunConfig(n=1000, seed=1)
     result = run_simulation(config)
     assert result.summary.saturated
     tracemalloc.start()
@@ -314,6 +308,21 @@ def test_run_rejects_bad_pattern_before_simulating(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_every_run_setting_is_recorded(tmp_path, pattern_paths):
+    # a run is named by n, seed, stop and patterns, and summary.json has them all
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "n", "seed", "stop", "patterns"
+    ]
+    config = RunConfig(n=40, seed=11, stop=Horizon(2.0), patterns=pattern_paths[:2])
+    write_run_artifacts(run_simulation(config), tmp_path)
+    data = json.loads((tmp_path / "summary.json").read_text())
+    assert (data["n"], data["seed"], data["stop"]) == (40, 11, stop_label(config.stop))
+    labels = sorted(p.label for p in load_patterns(config.patterns))
+    assert labels == ["C4", "C6"]
+    assert sorted(data["first_appearance"]) == labels
+    assert sorted(data["blocked_fraction_at_horizon"]) == labels
+
+
 # ----------------------------------------------------------------------
 # sweeps
 
@@ -328,6 +337,20 @@ def test_sweep_row_count_and_errors():
     # aggregate rows track the n list
     assert [a["n"] for a in aggregates] == [10, 1, 12]
     assert aggregates[1]["ok"] == 0
+
+
+def test_sweep_rejects_a_repeated_n(monkeypatch, tmp_path, capsys):
+    def no_run(config):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr(harness, "_sweep_worker", no_run)
+    template = RunConfig(n=10, seed=1)
+    for n_values in ([10, 10], [10, 12, 10]):
+        with pytest.raises(ValueError, match="each n may appear once"):
+            sweep(n_values, 2, template)
+    assert main(["sweep", "--n", "10", "--n", "10", "--out", str(tmp_path)]) == 1
+    assert "each n may appear once" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_seeds_are_base_plus_index():
@@ -443,6 +466,32 @@ def test_audit_run_clean():
     assert outcome.failures == ()
 
 
+@pytest.mark.parametrize(
+    "n, stop, audits",
+    [
+        (30, Saturation(), 132),  # cadence 1: the final step is on it
+        (100, Steps(51), 26),  # cadence 2: the final step is off it
+        (30, Steps(0), 1),  # no step: the start state is the final one
+    ],
+    ids=["on-cadence", "off-cadence", "no-step"],
+)
+def test_audit_run_audits_each_step_once(monkeypatch, n, stop, audits):
+    audited = []
+    audit = ProcessState.audit
+
+    def spy(self, *args):
+        audited.append(self.steps)
+        return audit(self, *args)
+
+    monkeypatch.setattr(ProcessState, "audit", spy)
+    outcome = audit_run(RunConfig(n=n, seed=3, stop=stop))
+    assert outcome.ok
+    assert outcome.audits == len(audited) == len(set(audited)) == audits
+    final = ProcessState(n, 3).run(stop).steps
+    assert audited[-1] == final
+    assert audited == sorted(audited)
+
+
 def test_audit_run_catches_corruption(monkeypatch):
     class CorruptedAfterFirstStep(ProcessState):
         """Flips one OPEN pair to CLOSED behind the engine's back."""
@@ -531,30 +580,24 @@ def test_cli_options_per_command():
         name: {s for action in sub._actions for s in action.option_strings}
         for name, sub in commands.items()
     }
-    stepping = {"-h", "--help", "--n", "--seed", "--stop", "--checkpoint-every"}
-    measuring = {"--y-samples", "--pattern", "--pattern-until-horizon", "--out"}
+    stepping = {"-h", "--help", "--n", "--seed", "--stop"}
     assert options == {
-        "run": stepping | measuring | {"--placement-samples"},
-        "sweep": stepping | measuring | {"--seeds-per-n", "--jobs"},
+        "run": stepping | {"--pattern", "--out"},
+        "sweep": stepping | {"--out", "--seeds-per-n", "--jobs"},
         "audit": stepping | {"--oracle", "--trials", "--tv-threshold"},
         "pattern-check": {"-h", "--help"},
     }
-    common = {
-        "seed": 1729,
-        "stop": "saturation",
-        "checkpoint_every": None,
-    }
-    written = {
-        "y_samples": 200,
-        "pattern": [],
-        "pattern_until_horizon": False,
-        "out": "trifree_out",
-    }
+    common = {"seed": 1729, "stop": "saturation"}
     assert vars(parser.parse_args(["run", "--n", "5"])) == {
-        "command": "run", "n": 5, **common, **written, "placement_samples": 10_000
+        "command": "run", "n": 5, **common, "pattern": [], "out": "trifree_out"
     }
     assert vars(parser.parse_args(["sweep", "--n", "5"])) == {
-        "command": "sweep", "n": [5], **common, **written, "seeds_per_n": 10, "jobs": 1
+        "command": "sweep",
+        "n": [5],
+        **common,
+        "out": "trifree_out",
+        "seeds_per_n": 10,
+        "jobs": 1,
     }
     assert vars(parser.parse_args(["audit", "--n", "5"])) == {
         "command": "audit",
@@ -600,7 +643,7 @@ def test_cli_prints_warnings_as_plain_lines(tmp_path, capsys):
 
 
 def test_cli_sweep_warns_once_per_n_whatever_the_workers(tmp_path, capfd):
-    # parallel workers write to file descriptor 2 themselves, so capture it
+    # capture file descriptor 2, where a worker writing its own warnings would show
     expected = [
         f"warning: step horizon is empty at n={n}; trajectory checks need larger n"
         for n in (4, 5)
