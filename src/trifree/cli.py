@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -28,8 +27,9 @@ from .harness import (
     write_run_artifacts,
     write_sweep_files,
 )
-from .oracle import equivalence_tv
+from .oracle import TV_TOLERANCE, equivalence_tv
 from .patterns import PatternError, load_pattern_file
+from .trajectory import step_horizon
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,8 +106,6 @@ def build_parser() -> _Parser:
         action="store_true",
         help="also compare against the permutation-ordering reference (n <= 5)",
     )
-    audit_p.add_argument("--trials", type=int, default=100_000)
-    audit_p.add_argument("--tv-threshold", type=float, default=0.02)
 
     check_p = sub.add_parser("pattern-check", help="validate pattern files")
     check_p.add_argument("files", nargs="+", metavar="FILE")
@@ -115,23 +113,33 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _run_config(
-    args: argparse.Namespace, n: int, patterns: tuple[str, ...] = ()
-) -> RunConfig:
+def _run_config(args: argparse.Namespace, patterns: tuple[str, ...] = ()) -> RunConfig:
     """The run that a command's flags describe."""
-    return RunConfig(n=n, seed=args.seed, stop=parse_stop(args.stop), patterns=patterns)
+    return RunConfig(n=args.n, seed=args.seed, stop=parse_stop(args.stop), patterns=patterns)
+
+
+def _note_empty_horizon(n: int) -> None:
+    # the library stays silent: summary.json records the horizon of 0
+    if n >= 2 and step_horizon(n) == 0:
+        print(
+            f"warning: step horizon is empty at n={n}; trajectory checks need larger n",
+            file=sys.stderr,
+        )
 
 
 def _do_run(args: argparse.Namespace) -> int:
-    config = _run_config(args, args.n, tuple(args.pattern))
+    config = _run_config(args, tuple(args.pattern))
+    _note_empty_horizon(config.n)
     summary = write_run_artifacts(run_simulation(config), Path(args.out))
     print(json.dumps(asdict(summary), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _do_sweep(args: argparse.Namespace) -> int:
-    template = _run_config(args, max(args.n))
-    rows, aggregates = sweep(args.n, args.seeds_per_n, template, jobs=args.jobs)
+    stop = parse_stop(args.stop)
+    rows, aggregates = sweep(args.n, args.seeds_per_n, args.seed, stop, jobs=args.jobs)
+    for n in args.n:
+        _note_empty_horizon(n)
     path = write_sweep_files(rows, aggregates, Path(args.out))
     errors = sum(1 for row in rows if row["status"] != "ok")
     print(f"wrote {len(rows)} rows to {path} ({errors} run errors)")
@@ -141,11 +149,9 @@ def _do_sweep(args: argparse.Namespace) -> int:
 
 
 def _do_audit(args: argparse.Namespace) -> int:
-    config = _run_config(args, args.n)
-    tv = None
-    if args.oracle:
-        config.validate()  # a bad run is reported first, as without --oracle
-        tv = equivalence_tv(config.n, args.trials)
+    config = _run_config(args)
+    tv = equivalence_tv(config.n) if args.oracle else None
+    _note_empty_horizon(config.n)
     outcome = audit_run(config)
     print(f"audits run: {outcome.audits}")
     for step, report in outcome.failures:
@@ -156,11 +162,11 @@ def _do_audit(args: argparse.Namespace) -> int:
             print(f"  triangle on ({u}, {v}, {w})")
         if not report.open_count_consistent:
             print("  open-pair count disagrees with the status store")
-    tv_ok = tv is None or tv <= args.tv_threshold
+    tv_ok = tv is None or tv <= TV_TOLERANCE
     if tv is not None:
         print(
             f"permutation-ordering TV distance: {tv:.5f} "
-            f"(threshold {args.tv_threshold}) {'ok' if tv_ok else 'FAILED'}"
+            f"(threshold {TV_TOLERANCE}) {'ok' if tv_ok else 'FAILED'}"
         )
     if outcome.ok and tv_ok:
         print("audit clean")
@@ -181,12 +187,6 @@ def _do_pattern_check(args: argparse.Namespace) -> int:
     return status
 
 
-def _print_warning(message: Warning | str, *_location: object) -> None:
-    # the message alone, on one line; a sweep's worker warnings get here too,
-    # since `sweep` re-raises them in this process
-    sys.stderr.write(f"warning: {message}\n")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -200,14 +200,11 @@ def main(argv: list[str] | None = None) -> int:
         "audit": _do_audit,
         "pattern-check": _do_pattern_check,
     }
-    # a warning is a message to the user, not a source location
-    with warnings.catch_warnings():
-        warnings.showwarning = _print_warning
-        try:
-            return commands[args.command](args)
-        except (ValueError, OSError) as err:  # SizingError and PatternError too
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        return commands[args.command](args)
+    except (ValueError, OSError) as err:  # SizingError and PatternError too
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

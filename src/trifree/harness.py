@@ -7,15 +7,14 @@ each pattern tracker is offered, and the permutation oracle is run by
 Outputs are plain files: `checkpoints.csv` (one row per trajectory
 checkpoint), `edges.log` (one line per insertion, `step u v`), and
 `summary.json`.  Sweeps add `sweep.csv` (one row per run, errors
-included) and `sweep_summary.json` (per-n aggregates).  All schemas
-carry a schema_version field or header so downstream tooling can detect
+included) and `sweep_summary.json` (per-n aggregates).  The two JSON
+files carry a schema_version field so downstream tooling can detect
 drift.
 
 Determinism: a run is a pure function of its `RunConfig` (n, seed,
 stop and patterns), all of which `summary.json` records; measurement
-sampling (checkpoint pairs, placements, local search restarts) uses a
-separate RNG derived from the seed, so it never perturbs the edge
-sequence.  Sweeps derive per-run seeds as base_seed + run_index, which
+sampling (checkpoint pairs, placements) uses a separate RNG derived
+from the seed, so it never perturbs the edge sequence.  Sweeps derive per-run seeds as base_seed + run_index, which
 makes parallel and serial execution byte-identical.
 """
 
@@ -26,7 +25,6 @@ import json
 import math
 import time
 import random
-import warnings
 from dataclasses import asdict, dataclass, replace
 from multiprocessing import Pool
 from pathlib import Path
@@ -121,7 +119,7 @@ class RunConfig:
     stop: StopCondition | Horizon = Saturation()
     patterns: tuple[str, ...] = ()  # pattern file paths
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"n must be at least 2, got {self.n}")
 
@@ -185,7 +183,6 @@ def run_simulation(config: RunConfig) -> RunResult:
     classification at the horizon.  A tracker is offered each new edge
     until its first copy, and none if its pattern has more vertices
     than n."""
-    config.validate()
     started = time.perf_counter()
     params = TrajectoryParams(config.n)
     horizon = params.horizon
@@ -287,21 +284,13 @@ SWEEP_COLUMNS = (
 )
 
 
-def _sweep_worker(config: RunConfig) -> tuple[dict, list[tuple[type, str]]]:
-    """One run's row, and the (category, text) of each warning it raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        row = _sweep_row(config)
-    return row, [(w.category, str(w.message)) for w in caught]
-
-
-def _sweep_row(config: RunConfig) -> dict:
+def _sweep_row(n: int, seed: int, stop: StopCondition | Horizon) -> dict:
     try:
-        result = run_simulation(config)
+        result = run_simulation(RunConfig(n=n, seed=seed, stop=stop))
     except Exception as err:  # recorded per row; the sweep continues
         return {
-            "n": config.n,
-            "seed": config.seed,
+            "n": n,
+            "seed": seed,
             "status": "error",
             "error": f"{type(err).__name__}: {err}",
         }
@@ -331,42 +320,37 @@ def _sweep_row(config: RunConfig) -> dict:
 def sweep(
     n_values: list[int],
     seeds_per_n: int,
-    template: RunConfig,
+    seed: int = DEFAULT_SEED,
+    stop: StopCondition | Horizon = Saturation(),
     jobs: int = 1,
 ) -> tuple[list[dict], list[dict]]:
     """Run every (n, seed slot) combination; never aborts on per-run errors.
 
-    Per-run seeds are template.seed + run_index, in grid order, so the
-    row set is identical however many workers execute it.  So are the
-    warnings: the runs' warnings are collected, and each distinct one is
-    re-raised here once, after the runs.  Returns the
-    per-run rows and the per-n aggregate rows.  Raises SizingError before
-    any run starts when the largest run, once per concurrent worker, would
-    not fit in physical memory, and ValueError when an n is repeated.
+    Per-run seeds are seed + run_index, in grid order, so the row set is
+    identical however many workers execute it.  Returns the per-run rows
+    and the per-n aggregate rows.  Raises SizingError before any run
+    starts when the largest run, once per concurrent worker, would not fit
+    in physical memory, and ValueError when an n is repeated.
     """
     if not n_values or seeds_per_n < 1:
         raise ValueError("need at least one n and one seed per n")
     if len(set(n_values)) < len(n_values):
         raise ValueError(f"each n may appear once, got {n_values}")
-    configs = []
-    for ni, n in enumerate(n_values):
-        for s in range(seeds_per_n):
-            index = ni * seeds_per_n + s
-            configs.append(replace(template, n=n, seed=template.seed + index))
-    workers = min(jobs, len(configs)) if jobs > 1 else 1
+    runs = [
+        (n, seed + ni * seeds_per_n + s, stop)
+        for ni, n in enumerate(n_values)
+        for s in range(seeds_per_n)
+    ]
+    workers = min(jobs, len(runs)) if jobs > 1 else 1
     check_fits(
         estimated_bytes(max(n_values)) * workers,
         f"{workers} concurrent run(s) at n={max(n_values)}",
     )
     if workers > 1:
         with Pool(processes=workers) as pool:
-            results = pool.map(_sweep_worker, configs)
+            rows = pool.starmap(_sweep_row, runs)
     else:
-        results = [_sweep_worker(config) for config in configs]
-    rows = [row for row, _ in results]
-    # each distinct warning once, however many runs and workers raised it
-    for category, text in dict.fromkeys(w for _, raised in results for w in raised):
-        warnings.warn(text, category, stacklevel=2)
+        rows = [_sweep_row(*run) for run in runs]
 
     aggregates: list[dict] = []
     for n in n_values:
@@ -416,13 +400,14 @@ class AuditOutcome:
 
 
 def audit_run(config: RunConfig) -> AuditOutcome:
-    """Run with a full ground-truth audit at every checkpoint step and
-    at the final step, each step audited once.
+    """Run with a full ground-truth audit every ceil(horizon / 50) steps
+    (every step while the horizon is at most 50) and at the final step,
+    each step audited once.  Unlike `run_simulation`'s checkpoints, the
+    audits skip the grid steps that are off that cadence.
 
     The distributional check against the permutation ordering is
     `oracle.equivalence_tv`; `trifree audit --oracle` runs it before this.
     """
-    config.validate()
     params = TrajectoryParams(config.n)
     horizon = params.horizon
     cadence = default_cadence(horizon)

@@ -25,6 +25,10 @@ from collections import Counter
 from .process import ProcessState, Saturation
 
 EdgeSet = frozenset[tuple[int, int]]
+TRIALS = 100_000  # final graphs drawn per side by `equivalence_tv`
+# the largest TV accepted; it means something only at TRIALS per side
+# (at 10^3 trials, sampling noise alone exceeds it)
+TV_TOLERANCE = 0.02
 
 
 @functools.cache  # one tuple of all pairs per n; the oracle runs at tiny n
@@ -87,16 +91,16 @@ def total_variation(a: Counter, b: Counter) -> float:
     return 0.5 * sum(abs(a[k] / na - b[k] / nb) for k in keys)
 
 
-def equivalence_tv(n: int, trials: int) -> float:
-    """TV distance between engine and permutation final-graph samples,
-    each drawn from its own fixed seed.
+def equivalence_tv(n: int) -> float:
+    """TV distance between TRIALS engine and TRIALS permutation final
+    graphs, each side drawn from its own fixed seed.
 
     Only n <= 5 is accepted: past that, the final graphs are too many
-    for `trials` samples to estimate their distribution.
+    for TRIALS samples to estimate their distribution.
     """
     if n > 5:
         raise ValueError("the permutation-ordering comparison is exhaustive-scale; n must be <= 5")
     return total_variation(
-        engine_distribution(n, trials, 7_000_000),
-        permutation_distribution(n, trials, 42),
+        engine_distribution(n, TRIALS, 7_000_000),
+        permutation_distribution(n, TRIALS, 42),
     )

@@ -123,14 +123,17 @@ def distinct_positions(
     Together they come in a uniformly random order.  Needs
     0 <= first <= length and len(seen) + count <= length.
 
-    This is the one place that copies CPython's draw algorithm, and it
-    settles which of `sample`'s two branches the head takes once, here.
-    Above `sample`'s set-size threshold, `sample` is itself randbelow
-    with redraws over a set, so every list comes from one `getrandbits`
+    CPython's draw algorithms are written out in three places, each
+    pinned on the running Python: here
+    (`test_distinct_positions_matches_sample_then_randrange`), `randrange`
+    in `ProcessState.step` (`test_edge_sequence_is_pinned`) and `shuffle`
+    in `oracle.permutation_final_edges`
+    (`test_permutation_pass_matches_shuffle_reference`).  This one settles
+    which of `sample`'s two branches the head takes once, here.  Above
+    `sample`'s set-size threshold, `sample` is itself randbelow with
+    redraws over a set, so every list comes from one `getrandbits`
     rejection loop; at or below it, `sample` shuffles a pool and is
     called for the head.
-    `test_distinct_positions_matches_sample_then_randrange` pins the
-    equality on the running Python.
     """
     setsize = 21  # Random.sample: a list of `length` is smaller than a set
     if first > 5:

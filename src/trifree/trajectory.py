@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
 from statistics import fmean
@@ -150,19 +149,10 @@ def envelope_vacuous(t: float, n: int) -> bool:
 
 
 def step_horizon(n: int) -> int:
-    """floor(HORIZON_COEFFICIENT * n^(3/2) * sqrt(ln n)).
-
-    Tiny n can yield an empty horizon, which is reported with a warning.
-    """
+    """floor(HORIZON_COEFFICIENT * n^(3/2) * sqrt(ln n)); 0 for n <= 7."""
     if n < 2:
         raise ValueError(f"horizon needs n >= 2 (log 1 = 0), got n={n}")
-    horizon = int(HORIZON_COEFFICIENT * n**1.5 * math.sqrt(math.log(n)))
-    if horizon == 0:
-        warnings.warn(
-            f"step horizon is empty at n={n}; trajectory checks need larger n",
-            stacklevel=2,
-        )
-    return horizon
+    return int(HORIZON_COEFFICIENT * n**1.5 * math.sqrt(math.log(n)))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from statistics import fmean
 import pytest
 
 from trifree.harness import measurement_rng
-from trifree.oracle import engine_distribution, permutation_distribution, total_variation
+from trifree.oracle import TRIALS, TV_TOLERANCE, equivalence_tv
 from trifree.patterns import (
     FirstAppearanceTracker,
     PlacementClass,
@@ -180,16 +180,13 @@ def test_criterion_1_triangle_freeness_and_closure_soundness():
 
 
 def test_criterion_2_permutation_oracle_equivalence():
-    tvs = {}
-    for n in (4, 5):
-        engine = engine_distribution(n, trials=100_000, seed_base=7_000_000)
-        oracle = permutation_distribution(n, trials=100_000, seed=42)
-        tvs[n] = total_variation(engine, oracle)
-    ok = all(tv <= 0.02 for tv in tvs.values())
+    assert TRIALS == 100_000  # the "1e5 trials each" of the report line
+    tvs = {n: equivalence_tv(n) for n in (4, 5)}
+    ok = all(tv <= TV_TOLERANCE for tv in tvs.values())
     line = report(
         "criterion 2 (uniform-step vs permutation ordering, 1e5 trials each)",
         ok,
-        f"TV n=4: {tvs[4]:.5f}, n=5: {tvs[5]:.5f} (tolerance 0.02)",
+        f"TV n=4: {tvs[4]:.5f}, n=5: {tvs[5]:.5f} (tolerance {TV_TOLERANCE})",
     )
     assert ok, line
 

@@ -11,11 +11,12 @@ import importlib
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
 
-from trifree import harness, oracle, process
+from trifree import cli, harness, oracle, process
 from trifree.cli import build_parser, main
 from trifree.harness import (
     Horizon,
@@ -111,8 +112,18 @@ def test_run_simulation_horizon_stop_at_scale():
 
 
 def test_run_rejects_tiny_n():
-    with pytest.raises(ValueError):
-        run_simulation(RunConfig(n=1, seed=1))
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        RunConfig(n=1, seed=1)
+
+
+def test_drivers_raise_no_warnings():
+    # an empty step horizon is a `trifree` notice, not a library warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert step_horizon(4) == 0
+        run_simulation(RunConfig(n=4))
+        audit_run(RunConfig(n=6))
+        sweep([4, 5], 1)
 
 
 def test_checkpoints_cover_start_and_end():
@@ -327,8 +338,7 @@ def test_every_run_setting_is_recorded(tmp_path, pattern_paths):
 # sweeps
 
 def test_sweep_row_count_and_errors():
-    template = RunConfig(n=10, seed=100, stop=Saturation())
-    rows, aggregates = sweep([10, 1, 12], 2, template)
+    rows, aggregates = sweep([10, 1, 12], 2, seed=100, stop=Saturation())
     assert len(rows) == 6  # |n list| x seeds per n, errors included
     by_n = {n: [r for r in rows if r["n"] == n] for n in (10, 1, 12)}
     assert all(r["status"] == "error" for r in by_n[1])
@@ -340,28 +350,25 @@ def test_sweep_row_count_and_errors():
 
 
 def test_sweep_rejects_a_repeated_n(monkeypatch, tmp_path, capsys):
-    def no_run(config):
+    def no_run(n, seed, stop):
         raise AssertionError("a run was started")
 
-    monkeypatch.setattr(harness, "_sweep_worker", no_run)
-    template = RunConfig(n=10, seed=1)
+    monkeypatch.setattr(harness, "_sweep_row", no_run)
     for n_values in ([10, 10], [10, 12, 10]):
         with pytest.raises(ValueError, match="each n may appear once"):
-            sweep(n_values, 2, template)
+            sweep(n_values, 2, seed=1)
     assert main(["sweep", "--n", "10", "--n", "10", "--out", str(tmp_path)]) == 1
     assert "each n may appear once" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_seeds_are_base_plus_index():
-    template = RunConfig(n=10, seed=500)
-    rows, _ = sweep([10, 12], 2, template)
+    rows, _ = sweep([10, 12], 2, seed=500)
     assert [r["seed"] for r in rows] == [500, 501, 502, 503]
 
 
 def test_sweep_saturation_has_positive_c():
-    template = RunConfig(n=16, seed=1, stop=Saturation())
-    rows, aggregates = sweep([16], 3, template)
+    rows, aggregates = sweep([16], 3, seed=1, stop=Saturation())
     for row in rows:
         assert row["saturated"] is True
         expected = row["final_edges"] / (16**1.5 * math.sqrt(math.log(16)))
@@ -370,9 +377,8 @@ def test_sweep_saturation_has_positive_c():
 
 
 def test_sweep_parallel_matches_serial():
-    template = RunConfig(n=12, seed=77)
-    serial_rows, serial_agg = sweep([12, 14], 2, template, jobs=1)
-    parallel_rows, parallel_agg = sweep([12, 14], 2, template, jobs=2)
+    serial_rows, serial_agg = sweep([12, 14], 2, seed=77, jobs=1)
+    parallel_rows, parallel_agg = sweep([12, 14], 2, seed=77, jobs=2)
     assert serial_rows == parallel_rows
     assert serial_agg == parallel_agg
 
@@ -390,15 +396,14 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, items):
-            return [func(item) for item in items]
+        def starmap(self, func, items):
+            return [func(*item) for item in items]
 
     monkeypatch.setattr(harness, "Pool", SerialPool)
-    template = RunConfig(n=10, seed=1)
-    rows, _ = sweep([10], 2, template, jobs=8)
+    rows, _ = sweep([10], 2, seed=1, jobs=8)
     assert started == [2]
     assert [r["status"] for r in rows] == ["ok"] * 2
-    sweep([10], 1, template, jobs=8)  # one run: serial, no pool
+    sweep([10], 1, seed=1, jobs=8)  # one run: serial, no pool
     assert started == [2]
 
 
@@ -407,20 +412,18 @@ def test_sweep_checks_memory_before_starting_workers(monkeypatch):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(harness, "Pool", no_pool)
-    template = RunConfig(n=10, seed=1)
     with pytest.raises(SizingError, match="n=1000000"):
-        sweep([10, 1_000_000], 1, template, jobs=2)
+        sweep([10, 1_000_000], 1, seed=1, jobs=2)
     # the budget counts one largest run per concurrent worker
     monkeypatch.setattr(process, "physical_memory_bytes", lambda: 2 * estimated_bytes(12) - 1)
     with pytest.raises(SizingError, match="2 concurrent"):
-        sweep([12], 3, template, jobs=2)
-    rows, _ = sweep([12], 3, template, jobs=1)
+        sweep([12], 3, seed=1, jobs=2)
+    rows, _ = sweep([12], 3, seed=1, jobs=1)
     assert [r["status"] for r in rows] == ["ok"] * 3
 
 
 def test_write_sweep_files(tmp_path):
-    template = RunConfig(n=10, seed=9)
-    rows, aggregates = sweep([10], 2, template)
+    rows, aggregates = sweep([10], 2, seed=9)
     path = write_sweep_files(rows, aggregates, tmp_path)
     with open(path, newline="") as fh:
         read = list(csv.reader(fh))
@@ -516,23 +519,27 @@ def test_audit_run_catches_corruption(monkeypatch):
     assert report.discrepancies or not report.open_count_consistent
 
 
-def test_audit_oracle_smoke(capsys):
-    argv = ["audit", "--n", "4", "--seed", "1", "--oracle", "--trials", "5000"]
-    assert main(argv + ["--tv-threshold", "0.05"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[1].startswith("permutation-ordering TV distance: ")
-    assert lines[1].endswith(" (threshold 0.05) ok")
-    assert lines[2] == "audit clean"
-    # a clean run still fails when the distributions are too far apart
-    assert main(argv + ["--tv-threshold", "0"]) == 2
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[1].endswith(" (threshold 0.0) FAILED")
-    assert "audit clean" not in lines
+def test_audit_oracle_smoke(monkeypatch, capsys):
+    # criterion 2 runs the real comparison; here a stub gives a TV on each
+    # side of the tolerance
+    asked = []
+    argv = ["audit", "--n", "4", "--seed", "1", "--oracle"]
+    for tv, code, verdict in ((0.5, 0, "ok"), (2.0, 2, "FAILED")):
+        tv *= oracle.TV_TOLERANCE
+        monkeypatch.setattr(cli, "equivalence_tv", lambda n, tv=tv: asked.append(n) or tv)
+        assert main(argv) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == (
+            f"permutation-ordering TV distance: {tv:.5f} (threshold 0.02) {verdict}"
+        )
+        # a clean run still fails when the distributions are too far apart
+        assert ("audit clean" in lines) == (code == 0)
+    assert asked == [4, 4]
 
 
 def test_audit_oracle_needs_small_n():
     with pytest.raises(ValueError, match="n must be <= 5"):
-        oracle.equivalence_tv(6, trials=10)
+        oracle.equivalence_tv(6)
 
 
 # ----------------------------------------------------------------------
@@ -584,7 +591,7 @@ def test_cli_options_per_command():
     assert options == {
         "run": stepping | {"--pattern", "--out"},
         "sweep": stepping | {"--out", "--seeds-per-n", "--jobs"},
-        "audit": stepping | {"--oracle", "--trials", "--tv-threshold"},
+        "audit": stepping | {"--oracle"},
         "pattern-check": {"-h", "--help"},
     }
     common = {"seed": 1729, "stop": "saturation"}
@@ -604,8 +611,6 @@ def test_cli_options_per_command():
         "n": 5,
         **common,
         "oracle": False,
-        "trials": 100_000,
-        "tv_threshold": 0.02,
     }
 
 
@@ -630,11 +635,11 @@ def test_cli_audit_clean(capsys):
     assert "audit clean" in capsys.readouterr().out
 
 
-def test_cli_prints_warnings_as_plain_lines(tmp_path, capsys):
-    # n = 4 has an empty step horizon, which trajectory.step_horizon warns about
+def test_cli_prints_warnings_as_plain_lines(monkeypatch, tmp_path, capsys):
+    # n = 4 has an empty step horizon, which `trifree` notes
+    monkeypatch.setattr(cli, "equivalence_tv", lambda n: oracle.TV_TOLERANCE / 2)
     assert main(["run", "--n", "4", "--out", str(tmp_path)]) == 0
-    args = ["audit", "--n", "4", "--oracle", "--trials", "2000", "--tv-threshold", "1"]
-    assert main(args) == 0
+    assert main(["audit", "--n", "4", "--oracle"]) == 0
     err = capsys.readouterr().err
     assert ".py" not in err
     lines = err.splitlines()
@@ -643,20 +648,26 @@ def test_cli_prints_warnings_as_plain_lines(tmp_path, capsys):
 
 
 def test_cli_sweep_warns_once_per_n_whatever_the_workers(tmp_path, capfd):
-    # capture file descriptor 2, where a worker writing its own warnings would show
+    # capture file descriptor 2, where a worker writing its own notes would
+    # show; n = 1 is an error row, with no note
     expected = [
         f"warning: step horizon is empty at n={n}; trajectory checks need larger n"
         for n in (4, 5)
     ]
     for jobs in ("1", "2"):
-        argv = ["sweep", "--n", "4", "--n", "5", "--seeds-per-n", "2"]
+        argv = ["sweep", "--n", "1", "--n", "4", "--n", "5", "--seeds-per-n", "2"]
         assert main(argv + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
         assert capfd.readouterr().err.splitlines() == expected, jobs
+        with open(tmp_path / jobs / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["n"], r["status"]) for r in rows[:2]] == [("1", "error")] * 2
+        assert all(r["error"] == "ValueError: n must be at least 2, got 1" for r in rows[:2])
+        assert [r["status"] for r in rows[2:]] == ["ok"] * 4
 
 
 def test_cli_audit_oracle_usage_error(capsys):
-    assert main(["audit", "--n", "10", "--oracle", "--trials", "10"]) == 1
-    capsys.readouterr()
+    assert main(["audit", "--n", "10", "--oracle"]) == 1
+    assert "n must be <= 5" in capsys.readouterr().err
 
 
 def test_cli_pattern_check(tmp_path, capsys, c4_path):

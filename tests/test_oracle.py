@@ -10,7 +10,6 @@ import pytest
 
 from trifree.oracle import (
     engine_distribution,
-    equivalence_tv,
     permutation_distribution,
     permutation_final_edges,
     total_variation,
@@ -73,8 +72,3 @@ def test_distributions_have_requested_mass():
     assert sum(eng.values()) == 200
     assert sum(orc.values()) == 300
 
-
-def test_small_equivalence_smoke():
-    # the acceptance suite runs the full-strength version (1e5 trials,
-    # TV <= 0.02); this is a fast sanity check at looser tolerance
-    assert equivalence_tv(4, trials=20_000) < 0.05

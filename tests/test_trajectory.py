@@ -221,9 +221,9 @@ def test_step_horizon_reference_values():
     assert step_horizon(2000) == 7705 == horizon_oracle(2000)
 
 
-def test_step_horizon_tiny_n_warns():
-    with pytest.warns(UserWarning, match="empty"):
-        assert step_horizon(4) == 0
+def test_step_horizon_tiny_n_is_empty():
+    # empty up to n = 7, with no warning: `trifree` prints the notice
+    assert [step_horizon(n) for n in range(2, 9)] == [0, 0, 0, 0, 0, 0, 1]
 
 
 def test_step_horizon_rejects_n_below_two():
