@@ -199,6 +199,14 @@ def run_simulation(config: RunConfig) -> RunResult:
         t.pattern.label: None for t in trackers
     }
 
+    def classify_placements(st: ProcessState) -> None:
+        for tracker in fitting:
+            report = blocked_placements(st, tracker.pattern, PLACEMENT_SAMPLES, rng)
+            blocked_at_horizon[tracker.pattern.label] = report.fraction_blocked
+
+    if horizon == 0:  # the hook never sees step 0
+        classify_placements(state)
+
     def hook(st: ProcessState, result: StepResult) -> None:
         i = st.steps
         if live:
@@ -207,9 +215,7 @@ def run_simulation(config: RunConfig) -> RunResult:
                 if tracker.offer(st.edge_masks, u, v, i):
                     live.remove(tracker)
         if i == horizon:
-            for tracker in fitting:
-                report = blocked_placements(st, tracker.pattern, PLACEMENT_SAMPLES, rng)
-                blocked_at_horizon[tracker.pattern.label] = report.fraction_blocked
+            classify_placements(st)
         if i % cadence == 0 or i in grid:
             checkpoints.append(take_checkpoint(st, params, Y_SAMPLES, rng))
 

@@ -8,6 +8,9 @@ status store, no open-pair sampler) so the two code paths can be
 compared distributionally: at small n the total variation distance
 between their final-edge-set distributions must vanish with the trial
 count.
+Each side draws all of its trials from one seeded stream: the passes
+from one `random.Random(seed)`, the engine runs from one
+`ProcessState(n, seed)`, restarted before each run.
 
 A pass keeps its graph as int bit rows, one per vertex, and admits a
 pair iff the rows of its endpoints share no bit.  Its shuffle writes out
@@ -59,9 +62,10 @@ def permutation_final_edges(n: int, rng: random.Random) -> EdgeSet:
     return frozenset(edges)
 
 
-def engine_final_edges(n: int, seed: int) -> EdgeSet:
-    """Final graph of one engine run to saturation."""
-    state = ProcessState(n, seed)
+def engine_final_edges(state: ProcessState) -> EdgeSet:
+    """Final graph of one engine run to saturation from the empty graph;
+    `state` is restarted first and its RNG runs on."""
+    state.restart()
     state.run(Saturation())
     return frozenset(state.iter_edges())
 
@@ -74,10 +78,11 @@ def permutation_distribution(n: int, trials: int, seed: int) -> Counter[EdgeSet]
     return counts
 
 
-def engine_distribution(n: int, trials: int, seed_base: int) -> Counter[EdgeSet]:
+def engine_distribution(n: int, trials: int, seed: int) -> Counter[EdgeSet]:
+    state = ProcessState(n, seed)
     counts: Counter[EdgeSet] = Counter()
-    for trial in range(trials):
-        counts[engine_final_edges(n, seed_base + trial)] += 1
+    for _ in range(trials):
+        counts[engine_final_edges(state)] += 1
     return counts
 
 
@@ -93,7 +98,7 @@ def total_variation(a: Counter, b: Counter) -> float:
 
 def equivalence_tv(n: int) -> float:
     """TV distance between TRIALS engine and TRIALS permutation final
-    graphs, each side drawn from its own fixed seed.
+    graphs, each side drawn from one stream with its own fixed seed.
 
     Only n <= 5 is accepted: past that, the final graphs are too many
     for TRIALS samples to estimate their distribution.

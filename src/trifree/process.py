@@ -246,20 +246,30 @@ class ProcessState:
         check_fits(estimated_bytes(n), f"n={n}")
         self.n = n
         self.seed = seed
-        total = n * (n - 1) // 2
-        self._total = total
+        self._total = n * (n - 1) // 2
         self._rowbase = _rowbase(n)
+        self._rng = random.Random(seed)
+        self.restart()
+
+    def restart(self) -> None:
+        """Return to the empty graph; the process RNG runs on.
+
+        Resets the masks, the lazy index, the open count and the edge log.
+        The next run draws from where the last one left the stream, so the
+        runs of one state are independent runs of the process, and only
+        the first reproduces a fresh `ProcessState(n, seed)`.
+        """
+        n = self.n
         full = (1 << n) - 1
         self._open_mask = [full ^ (1 << v) for v in range(n)]  # all OPEN
         self._adj_mask = [0] * n
         # lazy open-pair index: every OPEN rank once, plus stale ranks
-        self._open: range | array = range(total)
-        self._open_count = total
+        self._open: range | array = range(self._total)
+        self._open_count = self._total
         # edge i (0-based) is {_log_u[i], _log_v[i]}, _log_u[i] < _log_v[i]
         vertex = "H" if n <= 2**16 else "I"  # 2-byte vertices while they fit
         self._log_u = array(vertex)
         self._log_v = array(vertex)
-        self._rng = random.Random(seed)
 
     # ------------------------------------------------------------------
     # basic queries

@@ -199,11 +199,12 @@ def test_run_offers_only_live_fitting_trackers(monkeypatch, pattern_paths, n):
         # every step up to the copy, or to the run's last step, and no more
         assert steps == list(range(1, (first or summary.final_step) + 1))
         assert hits == ([] if first is None else [first])
-    if summary.horizon:  # placements cover every fitting pattern, found or not
-        fractions = summary.blocked_fraction_at_horizon
-        assert [k for k, f in fractions.items() if f is None] == (
-            ["K6,6"] if n < 12 else []
-        )
+    # placements cover every fitting pattern, found or not, also at a
+    # horizon of 0 (n = 6), where they are classified before the first step
+    fractions = summary.blocked_fraction_at_horizon
+    assert [k for k, f in fractions.items() if f is None] == (
+        ["K6,6"] if n < 12 else []
+    )
 
 
 def test_pattern_labels_are_distinct(tmp_path):

@@ -14,6 +14,7 @@ from trifree.oracle import (
     permutation_final_edges,
     total_variation,
 )
+from trifree.process import ProcessState
 
 
 def test_permutation_final_graph_is_maximal_triangle_free():
@@ -67,8 +68,22 @@ def test_total_variation_bounds():
 
 
 def test_distributions_have_requested_mass():
-    eng = engine_distribution(4, trials=200, seed_base=1)
+    eng = engine_distribution(4, trials=200, seed=1)
     orc = permutation_distribution(4, trials=300, seed=2)
     assert sum(eng.values()) == 200
     assert sum(orc.values()) == 300
 
+
+def test_engine_distribution_draws_from_one_seeded_state(monkeypatch):
+    inits = []
+    init = ProcessState.__init__
+
+    def counting(self, *args, **kwargs):
+        inits.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessState, "__init__", counting)
+    first = engine_distribution(5, trials=300, seed=9)
+    assert inits == [(5, 9)]  # one state per call, restarted per trial
+    assert engine_distribution(5, trials=300, seed=9) == first
+    assert len(inits) == 2

@@ -608,6 +608,26 @@ def test_edge_sequence_is_pinned(n, seed, steps, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_restart_returns_to_a_fresh_state(n):
+    state = ProcessState(n, seed=8)
+    assert state.run(Saturation()).open_pairs == 0
+    state.restart()
+    fresh = ProcessState(n, seed=8)
+    # every field but the RNG, which runs on; type and typecode too, since
+    # arrays of two typecodes compare equal by value
+    for name, value in vars(fresh).items():
+        if name != "_rng":
+            kept = getattr(state, name)
+            assert type(kept) is type(value), name
+            assert getattr(kept, "typecode", None) == getattr(value, "typecode", None), name
+            assert kept == value, name
+    # the next run is a fresh state's run from the same point of the stream
+    fresh._rng.setstate(state._rng.getstate())
+    assert edge_list(state.run(Saturation())) == edge_list(fresh.run(Saturation()))
+    assert state.open_pairs == fresh.open_pairs == 0
+
+
 def test_different_seeds_diverge():
     a = ProcessState(40, seed=123)
     b = ProcessState(40, seed=124)
