@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .harness import (
@@ -130,8 +129,9 @@ def _note_empty_horizon(n: int) -> None:
 def _do_run(args: argparse.Namespace) -> int:
     config = _run_config(args, tuple(args.pattern))
     _note_empty_horizon(config.n)
-    summary = write_run_artifacts(run_simulation(config), Path(args.out))
-    print(json.dumps(asdict(summary), indent=2, sort_keys=True))
+    out = Path(args.out)
+    write_run_artifacts(run_simulation(config), out)
+    sys.stdout.write((out / "summary.json").read_text(encoding="utf-8"))
     return EXIT_OK
 
 

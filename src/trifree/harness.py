@@ -9,13 +9,16 @@ checkpoint), `edges.log` (one line per insertion, `step u v`), and
 `summary.json`.  Sweeps add `sweep.csv` (one row per run, errors
 included) and `sweep_summary.json` (per-n aggregates).  The two JSON
 files carry a schema_version field so downstream tooling can detect
-drift.
+drift.  This module owns the CSV field format of both CSV files.
 
 Determinism: a run is a pure function of its `RunConfig` (n, seed,
-stop and patterns), all of which `summary.json` records; measurement
-sampling (checkpoint pairs, placements) uses a separate RNG derived
-from the seed, so it never perturbs the edge sequence.  Sweeps derive per-run seeds as base_seed + run_index, which
-makes parallel and serial execution byte-identical.
+stop and patterns), all of which `summary.json` records, so
+`summary.json` is a function of the `RunConfig` plus its
+`duration_seconds`.  Checkpoint samples and horizon placements each
+draw from their own RNG derived from the seed, so neither perturbs the
+edge sequence, and tracking patterns never changes the checkpoints.
+Sweeps derive per-run seeds as base_seed + run_index, which makes
+parallel and serial execution byte-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import json
 import math
 import time
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from multiprocessing import Pool
 from pathlib import Path
 from statistics import fmean, pstdev
@@ -48,21 +51,20 @@ from .process import (
     estimated_bytes,
 )
 from .trajectory import (
-    CHECKPOINT_COLUMNS,
     GRID_TIMES,
     Checkpoint,
     TrajectoryParams,
-    checkpoint_row,
-    csv_field,
     default_cadence,
     grid_steps,
     take_checkpoint,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 DEFAULT_SEED = 1729
-# measurement RNG seed is derived from the run seed with this fixed mask
+# the measurement RNGs' seeds are derived from the run seed with these
+# fixed masks: one stream for checkpoint samples, one for placements
 MEASUREMENT_SEED_XOR = 0x9E3779B9
+PLACEMENT_SEED_XOR = 0x7F4A7C15
 Y_SAMPLES = 200  # open pairs sampled per checkpoint
 PLACEMENT_SAMPLES = 10_000  # placements classified per pattern at the horizon
 SWEEP_GRID = GRID_TIMES[:5]
@@ -130,14 +132,11 @@ class RunSummary:
     n: int
     seed: int
     stop: str
-    final_step: int
+    final_step: int  # also the final edge count
     saturated: bool
-    final_edge_count: int
     horizon: int
-    blocking_window_start: int  # ceil(n^(4/3)); empty window at small n
     first_appearance: dict[str, int | None]
     blocked_fraction_at_horizon: dict[str, float | None]
-    checkpoint_path: str | None
     duration_seconds: float
 
     @classmethod
@@ -151,7 +150,7 @@ class RunSummary:
         return cls(**data)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunResult:
     summary: RunSummary
     checkpoints: list[Checkpoint]
@@ -190,7 +189,8 @@ def run_simulation(config: RunConfig) -> RunResult:
     fitting = [t for t in trackers if t.pattern.k <= config.n]
     live = list(fitting)
     state = ProcessState(config.n, config.seed)
-    rng = measurement_rng(config.seed)
+    rng = measurement_rng(config.seed)  # checkpoints
+    placement_rng = random.Random(config.seed ^ PLACEMENT_SEED_XOR)
 
     cadence = default_cadence(horizon)
     grid = grid_steps(config.n, GRID_TIMES)
@@ -201,7 +201,9 @@ def run_simulation(config: RunConfig) -> RunResult:
 
     def classify_placements(st: ProcessState) -> None:
         for tracker in fitting:
-            report = blocked_placements(st, tracker.pattern, PLACEMENT_SAMPLES, rng)
+            report = blocked_placements(
+                st, tracker.pattern, PLACEMENT_SAMPLES, placement_rng
+            )
             blocked_at_horizon[tracker.pattern.label] = report.fraction_blocked
 
     if horizon == 0:  # the hook never sees step 0
@@ -230,12 +232,9 @@ def run_simulation(config: RunConfig) -> RunResult:
         stop=stop_label(config.stop),
         final_step=state.steps,
         saturated=state.open_pairs == 0,
-        final_edge_count=state.steps,
         horizon=horizon,
-        blocking_window_start=math.ceil(config.n ** (4 / 3)),
         first_appearance={t.pattern.label: t.first_step for t in trackers},
         blocked_fraction_at_horizon=blocked_at_horizon,
-        checkpoint_path=None,
         duration_seconds=time.perf_counter() - started,
     )
     return RunResult(summary=summary, checkpoints=checkpoints, state=state)
@@ -243,6 +242,26 @@ def run_simulation(config: RunConfig) -> RunResult:
 
 # ----------------------------------------------------------------------
 # file output
+
+# the CSV columns are the fields in declaration order, with Q for open_pairs
+CHECKPOINT_COLUMNS = tuple(
+    "Q" if f.name == "open_pairs" else f.name for f in fields(Checkpoint)
+)
+
+
+def csv_field(value: object) -> str:
+    """One CSV field: empty for None, true/false, floats by repr."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def checkpoint_row(cp: Checkpoint) -> list[str]:
+    """Render a checkpoint as CSV fields in CHECKPOINT_COLUMNS order."""
+    return [csv_field(getattr(cp, f.name)) for f in fields(cp)]
+
 
 def _write_csv(path: Path, header: Iterable[str], rows: Iterable[list[str]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -257,8 +276,9 @@ def _write_json(path: Path, data: dict) -> None:
         fh.write("\n")
 
 
-def write_run_artifacts(result: RunResult, out_dir: Path) -> RunSummary:
-    """Write checkpoints.csv, edges.log, and summary.json; returns the summary."""
+def write_run_artifacts(result: RunResult, out_dir: Path) -> None:
+    """Write checkpoints.csv, edges.log, and summary.json from `result`,
+    which is left as it is."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "checkpoints.csv"
@@ -267,10 +287,7 @@ def write_run_artifacts(result: RunResult, out_dir: Path) -> RunSummary:
     with open(out_dir / "edges.log", "w", encoding="utf-8") as fh:
         for step, (u, v) in enumerate(result.state.iter_edges(), start=1):
             fh.write(f"{step} {u} {v}\n")
-    summary = replace(result.summary, checkpoint_path=str(path))
-    _write_json(out_dir / "summary.json", asdict(summary))
-    result.summary = summary
-    return summary
+    _write_json(out_dir / "summary.json", asdict(result.summary))
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +300,6 @@ SWEEP_COLUMNS = (
     "error",
     "final_step",
     "saturated",
-    "final_edges",
     "c_n",
     *(f"rel_q_t{t:g}" for t in SWEEP_GRID),
     *(f"rel_y_t{t:g}" for t in SWEEP_GRID),
@@ -308,10 +324,9 @@ def _sweep_row(n: int, seed: int, stop: StopCondition | Horizon) -> dict:
         "error": "",
         "final_step": summary.final_step,
         "saturated": summary.saturated,
-        "final_edges": summary.final_edge_count,
     }
     if summary.saturated:
-        row["c_n"] = summary.final_edge_count / (
+        row["c_n"] = summary.final_step / (
             summary.n**1.5 * math.sqrt(math.log(summary.n))
         )
     # the residuals at each sweep grid step; None where the run stopped short

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from statistics import fmean
 
@@ -190,26 +190,6 @@ class Checkpoint:
     formal_q_ok: bool
     formal_y_ok: bool | None
     env_vacuous: bool
-
-
-# the CSV columns are the fields in declaration order, with Q for open_pairs
-CHECKPOINT_COLUMNS = tuple(
-    "Q" if f.name == "open_pairs" else f.name for f in fields(Checkpoint)
-)
-
-
-def csv_field(value: object) -> str:
-    """One CSV field: empty for None, true/false, floats by repr."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def checkpoint_row(cp: Checkpoint) -> list[str]:
-    """Render a checkpoint as CSV fields in CHECKPOINT_COLUMNS order."""
-    return [csv_field(getattr(cp, f.name)) for f in fields(cp)]
 
 
 def _inside_envelope(ys: list[int], pred: float, env: float) -> bool:

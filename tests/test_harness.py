@@ -19,6 +19,8 @@ import pytest
 from trifree import cli, harness, oracle, process
 from trifree.cli import build_parser, main
 from trifree.harness import (
+    CHECKPOINT_COLUMNS,
+    SCHEMA_VERSION,
     Horizon,
     RunConfig,
     RunSummary,
@@ -48,7 +50,7 @@ from trifree.process import (
     Steps,
     estimated_bytes,
 )
-from trifree.trajectory import CHECKPOINT_COLUMNS, default_cadence, step_horizon
+from trifree.trajectory import default_cadence, step_horizon
 
 C4_FILE_TEXT = pattern_text(cycle_pattern(4))
 
@@ -92,8 +94,8 @@ def test_run_simulation_saturation_summary():
     summary = result.summary
     assert summary.final_step == 2
     assert summary.saturated
-    assert summary.final_edge_count == summary.final_step
-    assert summary.schema_version == "1"
+    assert len(list(result.state.iter_edges())) == summary.final_step
+    assert summary.schema_version == "2"
 
 
 def test_run_simulation_horizon_stop():
@@ -224,8 +226,10 @@ def test_pattern_labels_are_distinct(tmp_path):
 
 def test_run_artifacts_files(tmp_path, c4_path):
     config = RunConfig(n=20, seed=9, patterns=(c4_path,))
-    summary = write_run_artifacts(run_simulation(config), tmp_path / "out")
+    result = run_simulation(config)
     out = tmp_path / "out"
+    write_run_artifacts(result, out)
+    summary = result.summary
 
     with open(out / "checkpoints.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -242,9 +246,19 @@ def test_run_artifacts_files(tmp_path, c4_path):
     with open(out / "summary.json") as fh:
         data = json.load(fh)
     assert RunSummary.from_dict(data) == summary
-    for version in ("2", None):
+    for version in ("3", None):
         with pytest.raises(ValueError, match="schema_version"):
             RunSummary.from_dict({**data, "schema_version": version})
+    # a schema 1 summary, with the three fields that schema 2 dropped
+    schema_1 = {
+        **data,
+        "schema_version": "1",
+        "final_edge_count": summary.final_step,
+        "blocking_window_start": 55,
+        "checkpoint_path": str(out / "checkpoints.csv"),
+    }
+    with pytest.raises(ValueError, match="schema_version '1' is not '2'"):
+        RunSummary.from_dict(schema_1)
 
 
 def test_edge_log_is_written_from_the_log_columns(tmp_path):
@@ -277,6 +291,64 @@ def test_run_artifacts_reproducible_bytes(tmp_path, c4_path):
         tmp_path / "b/checkpoints.csv"
     ).read_bytes()
 
+    # summary.json is a function of the config plus duration_seconds: it
+    # does not depend on the output directory
+    def summary_without_duration(out):
+        lines = (out / "summary.json").read_bytes().splitlines(keepends=True)
+        kept = [line for line in lines if b'"duration_seconds"' not in line]
+        assert len(kept) == len(lines) - 1
+        return b"".join(kept)
+
+    assert summary_without_duration(tmp_path / "a") == summary_without_duration(
+        tmp_path / "b"
+    )
+
+
+def test_writing_leaves_the_result_as_it_is(tmp_path, c4_path):
+    result = run_simulation(RunConfig(n=25, seed=4, patterns=(c4_path,)))
+    summary, fields = result.summary, dataclasses.asdict(result.summary)
+    checkpoints = list(result.checkpoints)
+    edges = list(result.state.iter_edges())
+    assert write_run_artifacts(result, tmp_path) is None
+    assert result.summary is summary
+    assert dataclasses.asdict(result.summary) == fields
+    assert result.checkpoints == checkpoints
+    assert list(result.state.iter_edges()) == edges
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.summary = summary
+
+
+def test_tracking_patterns_leaves_the_checkpoints_as_they_are(tmp_path, pattern_paths):
+    # placements draw from their own stream, so the checkpoint samples of a
+    # run are the same whatever patterns it tracks
+    config = RunConfig(n=300, seed=7, stop=Horizon(4.0))
+    write_run_artifacts(run_simulation(config), tmp_path / "plain")
+    tracked = dataclasses.replace(config, patterns=pattern_paths[:2])  # C4, C6
+    result = run_simulation(tracked)
+    assert all(f is not None for f in result.summary.blocked_fraction_at_horizon.values())
+    write_run_artifacts(result, tmp_path / "tracked")
+    for name in ("checkpoints.csv", "edges.log"):
+        assert (tmp_path / "plain" / name).read_bytes() == (
+            tmp_path / "tracked" / name
+        ).read_bytes()
+
+
+def test_summary_fields_are_pinned_with_the_schema_version():
+    # a change to these names is a schema change: bump SCHEMA_VERSION with it
+    assert SCHEMA_VERSION == "2"
+    assert [f.name for f in dataclasses.fields(RunSummary)] == [
+        "schema_version",
+        "n",
+        "seed",
+        "stop",
+        "final_step",
+        "saturated",
+        "horizon",
+        "first_appearance",
+        "blocked_fraction_at_horizon",
+        "duration_seconds",
+    ]
+
 
 def test_run_golden_outputs(tmp_path, capsys, c4_path):
     # Recorded with the bitmask pair store. A change that keeps the engine
@@ -291,20 +363,18 @@ def test_run_golden_outputs(tmp_path, capsys, c4_path):
     }
     assert digests == {
         "edges.log": "0da49dfae9498f1541a42791bd4538dae80bbfc48b81d914568646b607c23e73",
-        "checkpoints.csv": "128a9c6364857b902d9f817c7ca94ef15ed4613df176ff801f25cd9094329ee8",
+        "checkpoints.csv": "2056512e726a7f2c07ca2c1bb71124fd613d225718e500fb790c608199696af5",
     }
     summary = json.loads((out / "summary.json").read_text())
-    del summary["duration_seconds"], summary["checkpoint_path"]
+    del summary["duration_seconds"]
     assert summary == {
-        "blocked_fraction_at_horizon": {"c4": 0.0822},
-        "blocking_window_start": 2009,
-        "final_edge_count": 1548,
+        "blocked_fraction_at_horizon": {"c4": 0.0846},
         "final_step": 1548,
         "first_appearance": {"c4": 272},
         "horizon": 387,
         "n": 300,
         "saturated": False,
-        "schema_version": "1",
+        "schema_version": "2",
         "seed": 7,
         "stop": "horizon:4",
     }
@@ -372,7 +442,7 @@ def test_sweep_saturation_has_positive_c():
     rows, aggregates = sweep([16], 3, seed=1, stop=Saturation())
     for row in rows:
         assert row["saturated"] is True
-        expected = row["final_edges"] / (16**1.5 * math.sqrt(math.log(16)))
+        expected = row["final_step"] / (16**1.5 * math.sqrt(math.log(16)))
         assert row["c_n"] == pytest.approx(expected)
     assert aggregates[0]["c_mean"] > 0
 
@@ -432,7 +502,7 @@ def test_write_sweep_files(tmp_path):
     assert len(read) == 3
     with open(tmp_path / "sweep_summary.json") as fh:
         data = json.load(fh)
-    assert data["schema_version"] == "1"
+    assert data["schema_version"] == "2"
     assert data["aggregates"][0]["n"] == 10
 
 
@@ -454,8 +524,8 @@ def test_sweep_golden_outputs(tmp_path, capsys):
             )
         }
         assert digests == {
-            "sweep.csv": "0904b579c87c6574992c90e77a8e035d35c66fbd3635e2a188922f12f356d5ee",
-            "sweep_summary.json": "8c798f4879db0d76fa685794ac9d953c3ae78d68fb1de30de08fc411ea3f3977",
+            "sweep.csv": "79d8a6284f3756b9f1ff7231abf1ace27f8771520cf1fe3030dece23a83e10d1",
+            "sweep_summary.json": "7a95c3452b8cde48d79490049b655b49fb0c456fbfd26eacad1e7ae3b8899f59",
             "stdout": "cd418671d3032f956f7a22b0b19ab2f471201cdb88ce51428d130af3675d6f76",
         }
 
@@ -564,9 +634,10 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         ["run", "--n", "3", "--seed", "1", "--stop", "saturation", "--out", str(out)]
     )
     assert code == 0
-    printed = json.loads(capsys.readouterr().out)
-    assert printed["final_step"] == 2
-    assert (out / "summary.json").exists()
+    printed = capsys.readouterr().out
+    assert json.loads(printed)["final_step"] == 2
+    # stdout is the text of summary.json, byte for byte
+    assert printed.encode() == (out / "summary.json").read_bytes()
 
 
 def test_cli_usage_errors(tmp_path, capsys):

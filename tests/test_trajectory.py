@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trifree.harness import CHECKPOINT_COLUMNS, checkpoint_row
 from trifree.patterns import blocked_placements, cycle_pattern
 from trifree.process import PairStatus, ProcessState, Saturation
 from trifree.trajectory import (
-    CHECKPOINT_COLUMNS,
     GRID_TIMES,
     HORIZON_COEFFICIENT,
     TrajectoryParams,
-    checkpoint_row,
     dawson,
     default_cadence,
     envelope_vacuous,
