@@ -86,20 +86,20 @@ def parse_stop(text: str) -> StopCondition | Horizon:
     if text == "saturation":
         return Saturation()
     kind, _, value = text.partition(":")
-    if kind == "steps" and value:
-        limit = int(value)
-        if limit < 0:
-            raise ValueError(f"steps limit must be >= 0, got {limit}")
-        return Steps(limit)
-    if kind == "horizon" and value:
-        mult = float(value)
-        if not (math.isfinite(mult) and mult > 0):
-            raise ValueError(f"horizon multiplier must be finite and > 0, got {mult}")
-        return Horizon(mult)
-    raise ValueError(
-        f"unrecognised stop condition {text!r}; "
-        f"expected saturation, steps:K, or horizon:X"
-    )
+    try:
+        number = {"steps": int, "horizon": float}[kind](value)
+    except (KeyError, ValueError):
+        raise ValueError(
+            f"unrecognised stop condition {text!r}; "
+            f"expected saturation, steps:K, or horizon:X"
+        ) from None
+    if kind == "steps":
+        if number < 0:
+            raise ValueError(f"steps limit must be >= 0, got {number}")
+        return Steps(number)
+    if not (math.isfinite(number) and number > 0):
+        raise ValueError(f"horizon multiplier must be finite and > 0, got {number}")
+    return Horizon(number)
 
 
 def stop_label(stop: StopCondition | Horizon) -> str:

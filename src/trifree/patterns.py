@@ -30,7 +30,8 @@ every automorphism found marks the images of the anchors' orbits, and
 marked orientations are not searched again.  A
 placement is classified by comparing, per complete bipartite piece of
 the pattern, the mask of its heads' images against the blocked and
-non-edge rows of its centres' images, rows derived once per batch.
+non-edge rows of its centres' images; random placements are drawn and
+classified in one loop.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .process import ProcessState, distinct_positions
+from .process import ProcessState, sample_pools
 
 MAX_PATTERN_VERTICES = 12  # the copy search's cap on k
 
@@ -496,12 +497,6 @@ class PlacementClass(Enum):
     OPEN_COMPATIBLE = "open"  # neither: the copy could still appear
 
 
-# reading a member off an Enum class costs about 0.1 us in CPython 3.11
-_BLOCKED = PlacementClass.BLOCKED
-_REALIZED = PlacementClass.REALIZED
-_OPEN_COMPATIBLE = PlacementClass.OPEN_COMPATIBLE
-
-
 @dataclass(frozen=True)
 class BlockReport:
     """Classification counts over sampled random placements."""
@@ -531,16 +526,20 @@ def classify_placement(
             f"placement {mapping} must map the {k} pattern vertices "
             f"to distinct vertices in range for n={n}"
         )
-    blocked_rows, nonedge_rows = _derived_rows(state, mapping)
-    return _classify(blocked_rows, nonedge_rows, pattern.bicliques, mapping)
+    blocked, realized = _count_classes(
+        *_derived_rows(state, mapping), pattern.bicliques, [mapping]
+    )
+    if blocked:
+        return PlacementClass.BLOCKED
+    return PlacementClass.REALIZED if realized else PlacementClass.OPEN_COMPATIBLE
 
 
 def _derived_rows(
     state: ProcessState, vertices: Iterable[int]
-) -> tuple[list[int], list[int]]:
-    """The blocked row, of the w with {v, w} CLOSED (and v itself), and
-    the non-edge row, of the w with {v, w} not an EDGE, of each v in
-    `vertices`, as lists over all n vertices (0 for the others).
+) -> tuple[list[int], list[int], list[int]]:
+    """The blocked row, of the w with {v, w} CLOSED (and v itself), the
+    non-edge row, of the w with {v, w} not an EDGE, and the bit 1 << v of
+    each v in `vertices`, as lists over all n vertices (0 for the others).
 
     The rows are new ints, so measuring leaves the state's masks alone.
     """
@@ -550,38 +549,72 @@ def _derived_rows(
     edge_rows = state.edge_masks
     blocked = [0] * n
     nonedge = [0] * n
+    bits = [0] * n
     for v in vertices:
         edge = edge_rows[v]
         blocked[v] = full ^ (open_rows[v] | edge)
         nonedge[v] = full ^ edge
-    return blocked, nonedge
+        bits[v] = 1 << v
+    return blocked, nonedge, bits
 
 
-def _classify(
+def _count_classes(
     blocked_rows: list[int],
     nonedge_rows: list[int],
+    bits: list[int],
     bicliques: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
-    mapping: tuple[int, ...] | list[int],
-) -> PlacementClass:
-    """The class of a placement known to be valid.
-
-    For each biclique of the pattern, `want` masks the images of its
-    heads.  Some pattern edge is on a CLOSED pair iff `want` meets the
-    blocked row of some centre's image, and every pattern edge is an
-    EDGE iff `want` misses the non-edge row of every centre's image.
+    placements: Iterable[tuple[int, ...] | list[int]],
+) -> tuple[int, int]:
+    """The numbers of BLOCKED and of REALIZED placements, each known to
+    be valid.  Per biclique of the pattern, `want` masks its heads'
+    images: some pattern edge is on a CLOSED pair iff `want` meets the
+    blocked row of some centre's image, and every pattern edge is an EDGE
+    iff `want` misses the non-edge row of every centre's image.
     """
-    realized = True
-    for centres, heads in bicliques:
-        want = 0
-        for b in heads:
-            want |= 1 << mapping[b]
-        for a in centres:
-            v = mapping[a]
-            if want & blocked_rows[v]:
-                return _BLOCKED
-            if want & nonedge_rows[v]:
-                realized = False
-    return _REALIZED if realized else _OPEN_COMPATIBLE
+    blocked = realized = 0
+    for mapping in placements:
+        full = True
+        for centres, heads in bicliques:
+            want = 0
+            for b in heads:
+                want |= bits[mapping[b]]
+            for a in centres:
+                v = mapping[a]
+                if want & blocked_rows[v]:
+                    break
+                if full and want & nonedge_rows[v]:
+                    full = False
+            else:
+                continue
+            blocked += 1
+            break
+        else:
+            realized += full
+    return blocked, realized
+
+
+def _sample_placements(
+    rng: random.Random, n: int, k: int, count: int
+) -> Iterator[list[int]]:
+    """`count` lists `rng.sample(range(n), k)`, with that call's draws:
+    at or below its set-size threshold `sample` is called, above it its
+    set branch is written out, one `getrandbits` rejection loop of values
+    >= n and repeats."""
+    if sample_pools(n, k):
+        for _ in range(count):
+            yield rng.sample(range(n), k)
+        return
+    getrandbits = rng.getrandbits
+    width = n.bit_length()
+    vertices = range(k)
+    for _ in range(count):
+        placement: list[int] = []
+        for _ in vertices:
+            i = getrandbits(width)
+            while i >= n or i in placement:
+                i = getrandbits(width)
+            placement.append(i)
+        yield placement
 
 
 def blocked_placements(
@@ -592,26 +625,18 @@ def blocked_placements(
 ) -> BlockReport:
     """Classify `sample_count` uniformly random placements.
 
-    Each placement is k distinct uniform vertices, drawn as one list by
-    `process.distinct_positions` with the draws of
-    `rng.sample(range(n), k)`; which of `sample`'s branches that takes is
-    settled once per call, and so are the derived rows of every vertex
-    that the classification reads.
+    `_sample_placements` draws each with the draws of
+    `rng.sample(range(n), k)` (pinned by
+    `test_blocked_placements_matches_sample_reference*`), and the one
+    classifier, `_count_classes`, takes them unchecked as they are drawn,
+    against rows and bits of every vertex built once per call.
     """
     n, k = state.n, pattern.k
     if k > n:
         raise ValueError(f"pattern needs {k} vertices, graph has {n}")
-    blocked_rows, nonedge_rows = _derived_rows(state, range(n))
-    bicliques = pattern.bicliques
-    draw = distinct_positions(rng, n, k)
-    blocked = 0
-    realized = 0
-    for _ in range(sample_count):
-        # a uniformly random injective placement, valid by construction:
-        # classify it unchecked
-        verdict = _classify(blocked_rows, nonedge_rows, bicliques, draw())
-        if verdict is _BLOCKED:
-            blocked += 1
-        elif verdict is _REALIZED:
-            realized += 1
+    blocked, realized = _count_classes(
+        *_derived_rows(state, range(n)),
+        pattern.bicliques,
+        _sample_placements(rng, n, k, sample_count),
+    )
     return BlockReport(sampled=sample_count, blocked=blocked, realized=realized)

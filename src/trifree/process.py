@@ -109,6 +109,14 @@ def check_fits(need: int, what: str) -> None:
         )
 
 
+def sample_pools(length: int, first: int) -> bool:
+    """Whether `Random.sample` draws `first` of `length` from a pool."""
+    setsize = 21  # a list of `length` is smaller than a set
+    if first > 5:
+        setsize += 4 ** math.ceil(math.log(first * 3, 4))
+    return length <= setsize
+
+
 def distinct_positions(
     rng: random.Random, length: int, first: int
 ) -> Callable[..., list[int]]:
@@ -123,22 +131,20 @@ def distinct_positions(
     Together they come in a uniformly random order.  Needs
     0 <= first <= length and len(seen) + count <= length.
 
-    CPython's draw algorithms are written out in three places, each
+    CPython's draw algorithms are written out in four places, each
     pinned on the running Python: here
-    (`test_distinct_positions_matches_sample_then_randrange`), `randrange`
-    in `ProcessState.step` (`test_edge_sequence_is_pinned`) and `shuffle`
-    in `oracle.permutation_final_edges`
-    (`test_permutation_pass_matches_shuffle_reference`).  This one settles
-    which of `sample`'s two branches the head takes once, here.  Above
-    `sample`'s set-size threshold, `sample` is itself randbelow with
-    redraws over a set, so every list comes from one `getrandbits`
-    rejection loop; at or below it, `sample` shuffles a pool and is
-    called for the head.
+    (`test_distinct_positions_matches_sample_then_randrange`), `sample`
+    in `patterns._sample_placements`
+    (`test_blocked_placements_matches_sample_reference*`), `randrange` in
+    `ProcessState.step` (`test_edge_sequence_is_pinned`) and `shuffle` in
+    `oracle.permutation_final_edges`
+    (`test_permutation_pass_matches_shuffle_reference`).  Above
+    `sample`'s set-size threshold (`sample_pools`), `sample` is itself
+    randbelow with redraws over a set, so every list comes from one
+    `getrandbits` rejection loop; at or below it, `sample` shuffles a
+    pool and is called for the head.
     """
-    setsize = 21  # Random.sample: a list of `length` is smaller than a set
-    if first > 5:
-        setsize += 4 ** math.ceil(math.log(first * 3, 4))
-    pool = length <= setsize
+    pool = sample_pools(length, first)
     getrandbits = rng.getrandbits
     bits = length.bit_length()
 

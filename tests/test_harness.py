@@ -80,6 +80,18 @@ def test_parse_stop_rejects_garbage():
             parse_stop(bad)
 
 
+def test_stop_values_that_are_not_numbers_are_unrecognised(tmp_path, capsys):
+    for bad in ("steps:abc", "steps:1.5", "horizon:x"):
+        with pytest.raises(ValueError, match="unrecognised stop condition"):
+            parse_stop(bad)
+        assert main(["run", "--n", "10", "--stop", bad, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: unrecognised stop condition {bad!r}; "
+            "expected saturation, steps:K, or horizon:X\n"
+        )
+
+
 def test_stop_label_roundtrip():
     for text in ("saturation", "steps:50", "horizon:1", "horizon:2.5"):
         assert stop_label(parse_stop(text)) == text

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from trifree.process import PairStatus, ProcessState, Saturation, Steps
+from trifree.process import PairStatus, ProcessState, Saturation, Steps, sample_pools
 from trifree.patterns import (
     BlockReport,
     FirstAppearanceTracker,
@@ -615,6 +615,47 @@ def test_blocked_placements_matches_sample_reference_when_realized():
     assert a.getstate() == b.getstate()
     assert report.realized > 0
     assert 0 < report.blocked < report.sampled
+
+
+@pytest.mark.parametrize(
+    "n, pattern, steps",
+    [
+        # the last n of Random.sample's pool branch, then the first of its
+        # set branch: 21 / 22 for k <= 5, 85 / 86 for 6 <= k <= 21
+        (21, cycle_pattern(4), 20),
+        (22, cycle_pattern(4), 20),
+        (85, cycle_pattern(6), 150),
+        (86, cycle_pattern(6), 150),
+        (85, complete_bipartite_pattern(6, 6), 40),
+        (86, complete_bipartite_pattern(6, 6), 40),
+    ],
+)
+def test_blocked_placements_matches_sample_reference_at_the_pool_boundary(
+    n, pattern, steps
+):
+    assert sample_pools(n, pattern.k) == (n in (21, 85))
+    state = ProcessState(n, seed=3)
+    state.run(Steps(steps))
+    a, b = random.Random(8), random.Random(8)
+    report = blocked_placements(state, pattern, 3000, a)
+    assert report == reference_blocked_placements(state, pattern, 3000, b)
+    assert a.getstate() == b.getstate()
+    assert 0 < report.blocked < report.sampled
+
+
+def test_blocked_placements_matches_sample_reference_with_two_bicliques():
+    # saturated, so paths P4, whose two bicliques must both be realized,
+    # are realized 71 times in 3000; n = 30 takes the set branch
+    state = ProcessState(30, seed=3)
+    state.run(Saturation())
+    pattern = path_pattern(3)
+    assert len(pattern.bicliques) == 2
+    assert not sample_pools(state.n, pattern.k)
+    a, b = random.Random(8), random.Random(8)
+    report = blocked_placements(state, pattern, 3000, a)
+    assert report == reference_blocked_placements(state, pattern, 3000, b)
+    assert a.getstate() == b.getstate()
+    assert report == BlockReport(sampled=3000, blocked=2929, realized=71)
 
 
 def test_blocked_placements_leaves_the_state_alone():
