@@ -23,9 +23,7 @@ from .trajectory import (
     Checkpoint,
     TrajectoryParams,
     open_pair_curve,
-    open_pair_envelope,
     partial_vertex_curve,
-    partial_vertex_envelope,
     scaled_time,
     step_horizon,
     take_checkpoint,

@@ -120,12 +120,12 @@ def sample_pools(length: int, first: int) -> bool:
 def distinct_positions(
     rng: random.Random, length: int, first: int
 ) -> Callable[..., list[int]]:
-    """Return `draw(count=None, seen=None)`, which draws distinct uniform
+    """Return `draw(seen, count=None)`, which draws distinct uniform
     positions of range(length) as one list and adds them to the set
-    `seen` (a new set when None).
+    `seen`.
 
-    `draw()` gives the head: the positions and the draws of
-    `rng.sample(range(length), first)`.  `draw(count, seen)` after it,
+    `draw(seen)` gives the head: the positions and the draws of
+    `rng.sample(range(length), first)`.  `draw(seen, count)` after it,
     with the head in `seen`, gives `count` more: the positions and draws
     of `rng.randrange(length)` calls that skip the positions in `seen`.
     Together they come in a uniformly random order.  Needs
@@ -148,9 +148,7 @@ def distinct_positions(
     getrandbits = rng.getrandbits
     bits = length.bit_length()
 
-    def draw(count: int | None = None, seen: set[int] | None = None) -> list[int]:
-        if seen is None:
-            seen = set()
+    def draw(seen: set[int], count: int | None = None) -> list[int]:
         if count is None:
             if pool:
                 head = rng.sample(range(length), first)
@@ -506,7 +504,7 @@ class ProcessState:
         else:
             seen: set[int] = set()
             draw = distinct_positions(rng, length, count)
-            positions = draw(seen=seen)
+            positions = draw(seen)
         open_mask = self._open_mask
         rowbase = self._rowbase
         isqrt = math.isqrt
@@ -524,7 +522,7 @@ class ProcessState:
                         return out
             if draw is None:
                 return out
-            positions = draw(count - len(out), seen)
+            positions = draw(seen, count - len(out))
 
     # ------------------------------------------------------------------
     # auditing

@@ -18,12 +18,12 @@ exactly by the finite-n curves
 
 with F Dawson's function.  Neither curve is promised past the end of the
 limiting process, t* = sqrt(ln n) / (2 sqrt(2)), where the correction
-stops being small.  The formal
-deviation envelope exp(41 t^2 + 40 t) * n^(-1/6) is meaningful only for
-astronomically large n; checkpoints therefore evaluate the formal bounds
-(flagging the vacuous regime where the envelope exceeds the curve
-itself) and, separately, plain relative residuals that are the useful
-measurement at simulation scale.
+stops being small; some way past it the finite-n open-pair curve turns
+negative.  Checkpoints record both predictions with their relative
+residuals.  The formal deviation envelope exp(41 t^2 + 40 t) * n^(-1/6)
+of the tracking argument exceeds the curve itself from t of about 0.01
+to 0.02 on at every n a simulation reaches, so checkpoints do not
+evaluate it; only its log is kept, for the branch check at t = 1.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ HORIZON_COEFFICIENT = 1.0 / 32.0  # fixed constant in the tracking horizon
 # the scaled times at which every run takes a checkpoint, for comparisons
 # across runs
 GRID_TIMES = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8, 3.0)
-
-# exp() overflows doubles just above this; envelopes saturate to inf there
-_EXP_MAX = 709.0
 
 
 def scaled_time(i: int, n: int) -> float:
@@ -116,36 +113,12 @@ def _envelope_log(t: float, n: int) -> float:
     return 41.0 * t * t + 40.0 * t - math.log(n) / 6.0
 
 
-def _exp_or_inf(x: float) -> float:
-    return math.exp(x) if x < _EXP_MAX else math.inf
-
-
 def log_open_pair_envelope(t: float, n: int) -> float:
     """log of the open-pair envelope; the branch above t=1 divides by t."""
     lv = _envelope_log(t, n)
     if t > 1.0:
         lv -= math.log(t)
     return lv
-
-
-def open_pair_envelope(t: float, n: int) -> float:
-    """Deviation envelope for Q / n^2 (saturates to inf for large t)."""
-    return _exp_or_inf(log_open_pair_envelope(t, n))
-
-
-def partial_vertex_envelope(t: float, n: int) -> float:
-    """Deviation envelope for |Y| / sqrt(n)."""
-    return _exp_or_inf(_envelope_log(t, n))
-
-
-def envelope_vacuous(t: float, n: int) -> bool:
-    """True when the envelope is at least the curve itself.
-
-    Compared in log space, so it stays correct where exp() overflows.
-    A formal bound that holds in this regime says nothing.
-    """
-    log_curve = -4.0 * t * t - math.log(2.0)
-    return log_open_pair_envelope(t, n) >= log_curve
 
 
 def step_horizon(n: int) -> int:
@@ -170,32 +143,33 @@ class TrajectoryParams:
 class Checkpoint:
     """Observed vs. predicted open-pair and partial-vertex counts at one step.
 
-    rel_y and the y aggregates are None when there was nothing to sample
-    (saturated state) or the prediction is zero (t = 0).  formal_* flags
-    evaluate the deviation envelopes; env_vacuous marks the regime where
-    the open-pair envelope exceeds the curve and the formal check is
-    uninformative.
+    q_pred and y_pred are the n -> infinity curves, q_fin and y_fin the
+    finite-n ones, each with the relative residual of the observation.
+    A residual is None where its prediction is not positive (y at t = 0,
+    both finite-n ones where q~ <= 0, past t*), and the y fields are None
+    when there was nothing to sample (saturated state).
     """
 
     step: int
     t: float
     open_pairs: int
     q_pred: float
-    q_env: float
     rel_q: float
+    q_fin: float
+    rel_q_fin: float | None
     y_mean: float | None
     y_pred: float
-    y_env: float
     rel_y: float | None
-    formal_q_ok: bool
-    formal_y_ok: bool | None
-    env_vacuous: bool
+    y_fin: float
+    rel_y_fin: float | None
 
 
-def _inside_envelope(ys: list[int], pred: float, env: float) -> bool:
-    """`all(abs(s - pred) <= env for s in ys)` for a non-empty `ys`, read
-    off its extremes: `s - pred` rounds monotonically in s."""
-    return max(abs(min(ys) - pred), abs(max(ys) - pred)) <= env
+def _relative(observed: float | None, predicted: float) -> float | None:
+    """|observed / predicted - 1|, None without an observation or a
+    positive prediction."""
+    if observed is None or predicted <= 0.0:
+        return None
+    return abs(observed / predicted - 1.0)
 
 
 def take_checkpoint(
@@ -208,10 +182,9 @@ def take_checkpoint(
 
     Reads Q directly, samples `y_sample_count` open pairs uniformly with
     `rng`, which must be independent of the process stream, and measures
-    each pair's partial-vertex count; the checkpoint keeps their mean and
-    whether every one lies inside the envelope, not the counts.
-    Checkpoints past the horizon are allowed; there the curves are
-    extrapolations and the formal flags are informational only.
+    each pair's partial-vertex count; the checkpoint keeps their mean,
+    not the counts.  Checkpoints past the horizon are allowed; there the
+    curves are extrapolations.
     """
     if state.n != params.n:
         raise ValueError(f"state has n={state.n} but params have n={params.n}")
@@ -219,11 +192,8 @@ def take_checkpoint(
     i = state.steps
     t = scaled_time(i, n)
     q_obs = state.open_pairs
-
     q_pred = n * n * open_pair_curve(t)
-    q_env = n * n * open_pair_envelope(t, n)
-    rel_q = abs(q_obs / q_pred - 1.0) if q_pred > 0.0 else math.inf
-    formal_q_ok = abs(q_obs - q_pred) <= q_env
+    q_fin = n * n * finite_open_pair_curve(t, n)
 
     # |Y| of an open pair {u, v}: w with {u, w} an edge and {v, w} open,
     # or the other way round; the two masks are disjoint
@@ -233,31 +203,23 @@ def take_checkpoint(
         (adj[u] & opn[v]).bit_count() + (adj[v] & opn[u]).bit_count()
         for u, v in state.sample_open_pairs(y_sample_count, rng)
     ]
+    y_mean = fmean(ys) if ys else None
     y_pred = math.sqrt(n) * partial_vertex_curve(t)
-    y_env = math.sqrt(n) * partial_vertex_envelope(t, n)
-    if ys:
-        y_mean: float | None = fmean(ys)
-        formal_y_ok: bool | None = _inside_envelope(ys, y_pred, y_env)
-        rel_y = abs(y_mean / y_pred - 1.0) if y_pred > 0.0 else None
-    else:
-        y_mean = None
-        formal_y_ok = None
-        rel_y = None
+    y_fin = math.sqrt(n) * finite_partial_vertex_curve(t, n)
 
     return Checkpoint(
         step=i,
         t=t,
         open_pairs=q_obs,
         q_pred=q_pred,
-        q_env=q_env,
-        rel_q=rel_q,
+        rel_q=abs(q_obs / q_pred - 1.0) if q_pred > 0.0 else math.inf,
+        q_fin=q_fin,
+        rel_q_fin=_relative(q_obs, q_fin),
         y_mean=y_mean,
         y_pred=y_pred,
-        y_env=y_env,
-        rel_y=rel_y,
-        formal_q_ok=formal_q_ok,
-        formal_y_ok=formal_y_ok,
-        env_vacuous=envelope_vacuous(t, n),
+        rel_y=_relative(y_mean, y_pred),
+        y_fin=y_fin,
+        rel_y_fin=_relative(y_mean, y_fin),
     )
 
 

@@ -10,6 +10,7 @@ import hashlib
 import importlib
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -362,9 +363,17 @@ def test_summary_fields_are_pinned_with_the_schema_version():
     ]
 
 
+def test_readme_lists_the_checkpoint_columns():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"`checkpoints\.csv` - columns\s+`([^`]*)`", readme)
+    assert listed is not None
+    assert listed.group(1) == ",".join(CHECKPOINT_COLUMNS)
+
+
 def test_run_golden_outputs(tmp_path, capsys, c4_path):
-    # Recorded with the bitmask pair store. A change that keeps the engine
-    # and the output schemas must leave these bytes as they are.
+    # Recorded with the bitmask pair store, checkpoints.csv again for its
+    # finite-n columns. A change that keeps the engine and the output
+    # schemas must leave these bytes as they are.
     out = tmp_path / "run"
     argv = ["run", "--n", "300", "--seed", "7", "--stop", "horizon:4"]
     assert main(argv + ["--pattern", c4_path, "--out", str(out)]) == 0
@@ -375,7 +384,7 @@ def test_run_golden_outputs(tmp_path, capsys, c4_path):
     }
     assert digests == {
         "edges.log": "0da49dfae9498f1541a42791bd4538dae80bbfc48b81d914568646b607c23e73",
-        "checkpoints.csv": "2056512e726a7f2c07ca2c1bb71124fd613d225718e500fb790c608199696af5",
+        "checkpoints.csv": "3ec8b8877fa94b7a1fcc0e0505c25a97111fd7aa2eb9c8a816637ae54b99a0cb",
     }
     summary = json.loads((out / "summary.json").read_text())
     del summary["duration_seconds"]

@@ -570,11 +570,12 @@ def test_blocked_placements_stay_blocked():
 
 
 def reference_blocked_placements(state, pattern, sample_count, rng):
-    """`blocked_placements` with `rng.sample` placements (test-side reference)."""
+    """`blocked_placements` with `rng.sample` placements, classified by
+    `pair_status` (test-side reference)."""
     blocked = realized = 0
     for _ in range(sample_count):
         placement = tuple(rng.sample(range(state.n), pattern.k))
-        verdict = classify_placement(state, pattern, placement)
+        verdict = reference_placement_class(state, pattern, placement)
         if verdict == PlacementClass.BLOCKED:
             blocked += 1
         elif verdict == PlacementClass.REALIZED:
@@ -656,6 +657,19 @@ def test_blocked_placements_matches_sample_reference_with_two_bicliques():
     assert report == reference_blocked_placements(state, pattern, 3000, b)
     assert a.getstate() == b.getstate()
     assert report == BlockReport(sampled=3000, blocked=2929, realized=71)
+
+
+def test_blocked_placements_matches_sample_reference_with_two_bicliques_mid_run():
+    # stopped before saturation, so a P4 placement can be realized on one
+    # biclique and open on the other: each class shows up
+    state = ProcessState(30, seed=3)
+    state.run(Steps(80))
+    pattern = path_pattern(3)
+    a, b = random.Random(8), random.Random(8)
+    report = blocked_placements(state, pattern, 3000, a)
+    assert report == reference_blocked_placements(state, pattern, 3000, b)
+    assert a.getstate() == b.getstate()
+    assert report == BlockReport(sampled=3000, blocked=2741, realized=13)
 
 
 def test_blocked_placements_leaves_the_state_alone():

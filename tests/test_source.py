@@ -21,7 +21,7 @@ KEPT_UNREAD = {
     "process.StepResult.newly_closed": "perfbench/spans.py counts closed pairs; ROADMAP item 1",
     "process.ProcessState.pair_status": "test fixtures over the public state",
     "process.ProcessState.force_step": "test fixtures over the public state",
-    "trajectory.finite_partial_vertex_curve": "acceptance criterion 4's curve y~; ROADMAP item 5",
+    "trajectory.log_open_pair_envelope": "acceptance criterion 9's envelope branch check",
 }
 
 

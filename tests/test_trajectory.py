@@ -1,4 +1,4 @@
-"""Tests for the reference curves, envelopes, horizon, and checkpoints."""
+"""Tests for the reference curves, the envelope, horizon, and checkpoints."""
 
 from __future__ import annotations
 
@@ -19,20 +19,16 @@ from trifree.trajectory import (
     TrajectoryParams,
     dawson,
     default_cadence,
-    envelope_vacuous,
     finite_open_pair_curve,
     finite_partial_vertex_curve,
     grid_steps,
     log_open_pair_envelope,
     open_pair_curve,
-    open_pair_envelope,
     partial_vertex_curve,
-    partial_vertex_envelope,
     scaled_time,
     step_horizon,
     take_checkpoint,
 )
-from trifree.trajectory import _inside_envelope
 
 
 def horizon_oracle(n: int) -> int:
@@ -159,14 +155,7 @@ def test_finite_curves_finite_up_to_t_ten():
 
 
 # ----------------------------------------------------------------------
-# envelopes
-
-def test_envelopes_at_zero():
-    for n in (2, 64, 4096):
-        expected = n ** (-1 / 6)
-        assert math.isclose(open_pair_envelope(0.0, n), expected, rel_tol=1e-12)
-        assert math.isclose(partial_vertex_envelope(0.0, n), expected, rel_tol=1e-12)
-
+# envelope
 
 def test_open_pair_envelope_branch_continuity():
     # both branches coincide at t=1: exp(81) * n^(-1/6)
@@ -174,42 +163,23 @@ def test_open_pair_envelope_branch_continuity():
         left = log_open_pair_envelope(1.0, n)
         right = log_open_pair_envelope(1.0 + 1e-15, n)
         assert math.isclose(left, right, rel_tol=1e-12)
-        assert math.isclose(
-            open_pair_envelope(1.0, n), math.exp(81) * n ** (-1 / 6), rel_tol=1e-12
-        )
+        assert math.isclose(left, 81 - math.log(n) / 6, rel_tol=1e-12)
 
 
 def test_open_pair_envelope_above_one_divides_by_t():
-    # t=2, n=64: exp(244)/2 * 64^(-1/6) = exp(244)/4
-    assert math.isclose(
-        open_pair_envelope(2.0, 64), math.exp(244) / 4, rel_tol=1e-12
-    )
-    assert math.isclose(
-        partial_vertex_envelope(2.0, 64), math.exp(244) / 2, rel_tol=1e-12
-    )
-
-
-def test_envelope_overflow_saturates_to_inf():
-    assert open_pair_envelope(10.0, 2) == math.inf
-    assert math.isfinite(log_open_pair_envelope(10.0, 2))
+    # t=2, n=64: exp(244)/2 * 64^(-1/6) = exp(244)/4, so the log is
+    # 244 - 2 log 2; undivided by t it would be exp(244)/2
+    value = log_open_pair_envelope(2.0, 64)
+    assert math.isclose(value, 244 - 2 * math.log(2.0), rel_tol=1e-12)
 
 
 def test_envelopes_increasing_in_t_decreasing_in_n():
     ts = [i / 20 for i in range(0, 21)]  # [0, 1]
     for n in (10, 1000):
-        values = [open_pair_envelope(t, n) for t in ts]
-        assert all(a < b for a, b in zip(values, values[1:]))
-        values = [partial_vertex_envelope(t, n) for t in ts]
+        values = [log_open_pair_envelope(t, n) for t in ts]
         assert all(a < b for a, b in zip(values, values[1:]))
     for t in (0.0, 0.5, 1.0):
-        assert open_pair_envelope(t, 100) > open_pair_envelope(t, 1000)
-
-
-def test_envelope_vacuous_flag():
-    # at t=0.5 the envelope dwarfs the curve for any simulable n
-    assert envelope_vacuous(0.5, 65535)
-    # at tiny t and large n the bound still says something
-    assert not envelope_vacuous(0.01, 65535)
+        assert log_open_pair_envelope(t, 100) > log_open_pair_envelope(t, 1000)
 
 
 # ----------------------------------------------------------------------
@@ -250,56 +220,48 @@ def test_horizon_time_matches_coefficient(n):
 # checkpoints
 
 def test_checkpoint_at_step_zero():
-    n = 50
+    n = 64  # a power of two, so the residuals below are exact
     state = ProcessState(n, seed=1)
     cp = take_checkpoint(state, TrajectoryParams(n), 10, random.Random(0))
     assert cp.step == 0 and cp.t == 0.0
     assert cp.open_pairs == n * (n - 1) // 2
-    assert cp.q_pred == n * n / 2
+    assert cp.q_pred == cp.q_fin == n * n / 2
     # residual n/2 over prediction n^2/2 is exactly 1/n
-    assert math.isclose(cp.rel_q, 1 / n, rel_tol=1e-12)
-    assert cp.formal_q_ok  # n/2 <= n^(11/6)
-    assert cp.y_pred == 0.0 and cp.y_mean == 0.0
-    assert cp.formal_y_ok is True
-    assert cp.rel_y is None  # prediction is zero at t=0
+    assert cp.rel_q == cp.rel_q_fin == 1 / n
+    assert cp.y_pred == cp.y_fin == 0.0 and cp.y_mean == 0.0
+    assert cp.rel_y is None and cp.rel_y_fin is None  # predictions are zero at t=0
 
 
 def test_checkpoint_saturated_state_has_empty_y():
     state = ProcessState(3, seed=1)
     state.run(Saturation())
     cp = take_checkpoint(state, TrajectoryParams(3), 10, random.Random(0))
-    assert cp.y_mean is None and cp.formal_y_ok is None and cp.rel_y is None
+    assert cp.y_mean is None and cp.rel_y is None and cp.rel_y_fin is None
 
 
-def test_envelope_check_reads_the_extremes():
-    # formal_y_ok reads only the sample's min and max; it must agree with
-    # the check of every sample, also on ties and with an infinite envelope
-    rng = random.Random(13)
-    cases = [
-        ([3], 3.0, 0.0),
-        ([2, 4], 3.0, 1.0),
-        ([2, 5], 3.0, 1.0),
-        ([1, 4], 3.0, 1.0),
-        ([0, 7], 3.5, 3.5),
-        ([0, 8], 3.5, 3.5),
-        ([5, 5, 5], 0.0, math.inf),
-        ([0, 10**6], 1e300, math.inf),
-        ([0, 1, 2], math.inf, math.inf),
-    ]
-    for _ in range(3000):
-        ys = [rng.randrange(80) for _ in range(rng.randint(1, 200))]
-        pred = rng.uniform(0.0, 80.0)
-        widest = max(abs(s - pred) for s in ys)
-        env = rng.choice(
-            [rng.uniform(0.0, 40.0), math.inf, widest, math.nextafter(widest, 0.0)]
-        )
-        cases.append((ys, pred, env))
-    outcomes = set()
-    for ys, pred, env in cases:
-        expected = all(abs(s - pred) <= env for s in ys)
-        assert _inside_envelope(ys, pred, env) == expected, (ys, pred, env)
-        outcomes.add(expected)
-    assert outcomes == {True, False}
+def test_checkpoint_finite_residuals_over_a_run():
+    # rel_q_fin is criterion 3's |Q / (n^2 q~) - 1|; past t*, where q~ <= 0,
+    # both finite-n residuals are empty even though pairs were sampled
+    n = 60
+    state = ProcessState(n, seed=2)
+    params = TrajectoryParams(n)
+    rng = random.Random(4)
+    past = 0
+    while True:
+        cp = take_checkpoint(state, params, 5, rng)
+        q_tilde = finite_open_pair_curve(cp.t, n)
+        assert cp.q_fin == n**2 * q_tilde
+        assert cp.y_fin == math.sqrt(n) * finite_partial_vertex_curve(cp.t, n)
+        if q_tilde > 0.0:
+            assert cp.rel_q_fin == abs(cp.open_pairs / (n**2 * q_tilde) - 1.0)
+            if cp.y_mean is not None and cp.step > 0:  # y~ = 0 at t = 0
+                assert cp.rel_y_fin == abs(cp.y_mean / cp.y_fin - 1.0)
+        else:
+            assert cp.rel_q_fin is None and cp.rel_y_fin is None
+            past += cp.y_mean is not None
+        if state.step() is None:
+            break
+    assert past > 0
 
 
 def test_checkpoint_mid_run_consistency():
@@ -342,9 +304,9 @@ def test_checkpoint_row_shape():
     row = checkpoint_row(cp)
     assert len(row) == len(CHECKPOINT_COLUMNS)
     assert row[0] == "0"
-    assert row[-1] in ("true", "false")
-    # rel_y is None at t=0: empty CSV field
+    # rel_y and rel_y_fin are None at t=0: empty CSV fields
     assert row[CHECKPOINT_COLUMNS.index("rel_y")] == ""
+    assert row[-1] == ""
 
 
 def test_measurement_rng_does_not_touch_process_stream():
