@@ -29,7 +29,6 @@ import math
 import time
 import random
 from dataclasses import asdict, dataclass, fields, replace
-from multiprocessing import Pool
 from pathlib import Path
 from statistics import fmean, pstdev
 from typing import Iterable
@@ -368,6 +367,8 @@ def sweep(
         f"{workers} concurrent run(s) at n={max(n_values)}",
     )
     if workers > 1:
+        from multiprocessing import Pool  # only a parallel sweep pays its import
+
         with Pool(processes=workers) as pool:
             rows = pool.starmap(_sweep_row, runs)
     else:

@@ -31,6 +31,13 @@ and is rebuilt from the masks, as a compact `array` of exactly the OPEN
 ranks, once it holds more than 3Q + n entries; that costs O(n + Q) and
 keeps the expected draws per step below 3 + n/Q.
 
+Every single-bit mask the engine reads comes from `_bits(n)`, one
+tuple per n with `_bits(n)[w] == 1 << w`: `1 << w` allocates a new
+w-bit int on every call, and the step's OPEN test, the closure loops,
+the index rebuild and `restart` would otherwise build one per pair they
+touch.  `audit` keeps its own shifts, so its ground truth does not read
+the table.
+
 The masks, the lazy index, the edge log and the RNG are the whole state.
 The edge log is two `array` columns of endpoints, 2 bytes each while
 n <= 65536.  A step's closed pairs are kept as its two close masks and
@@ -74,20 +81,29 @@ def estimated_bytes(n: int) -> int:
 
     The index peaks at its first rebuild, an array of at most a third of
     the pairs (each rebuild drops the old array before it builds the new
-    one); the masks take n^2/4 bytes; the edges take BYTES_PER_EDGE each.
+    one); the masks take n^2/4 bytes; the single-bit table `_bits(n)`,
+    shared by every state of this n, 4 bytes per 30-bit digit (n^2/15 in
+    all) plus about 40 per int; the edges take BYTES_PER_EDGE each.
     """
     if n < 2:
         return 0
     total = n * (n - 1) // 2
     index = array(index_typecode(total)).itemsize * total // 3
+    bits = n * n // 15 + 40 * n
     edges = EDGE_COUNT_BOUND * n * math.sqrt(n * math.log(n))
-    return index + n * n // 4 + int(BYTES_PER_EDGE * edges)
+    return index + n * n // 4 + bits + int(BYTES_PER_EDGE * edges)
 
 
 @functools.cache  # n small ints per n, a state holds them anyway
 def _rowbase(n: int) -> tuple[int, ...]:
     """The rank of pair (a, b), a < b, is _rowbase(n)[a] + b."""
     return tuple(a * n - a * (a + 1) // 2 - a - 1 for a in range(n))
+
+
+@functools.cache  # about n^2/15 bytes per n, shared by its states
+def _bits(n: int) -> tuple[int, ...]:
+    """_bits(n)[w] == 1 << w for 0 <= w < n, built once per n."""
+    return tuple(1 << w for w in range(n))
 
 
 @functools.cache
@@ -252,6 +268,7 @@ class ProcessState:
         self.seed = seed
         self._total = n * (n - 1) // 2
         self._rowbase = _rowbase(n)
+        self._bit = _bits(n)
         self._rng = random.Random(seed)
         self.restart()
 
@@ -265,7 +282,7 @@ class ProcessState:
         """
         n = self.n
         full = (1 << n) - 1
-        self._open_mask = [full ^ (1 << v) for v in range(n)]  # all OPEN
+        self._open_mask = [full ^ bit for bit in self._bit]  # all OPEN
         self._adj_mask = [0] * n
         # lazy open-pair index: every OPEN rank once, plus stale ranks
         self._open: range | array = range(self._total)
@@ -363,6 +380,7 @@ class ProcessState:
         draw = self._rng.getrandbits
         isqrt = math.isqrt
         open_mask = self._open_mask
+        bit = self._bit
         rowbase = self._rowbase
         last = self._total - 1
         top = self.n - 2
@@ -375,7 +393,7 @@ class ProcessState:
             rank = index[i]
             u = top - ((isqrt(8 * (last - rank) + 1) - 1) >> 1)  # _unrank
             v = rank - rowbase[u]
-            if open_mask[u] >> v & 1:
+            if open_mask[u] & bit[v]:
                 return self._insert(u, v)
             misses += 1
             if misses > size:
@@ -408,13 +426,14 @@ class ProcessState:
         self._open = range(0)
         index = array(index_typecode(self._total))
         append = index.append
+        bit = self._bit
         rowbase = self._rowbase
         for u, row in enumerate(self._open_mask):
             row >>= u + 1  # the pairs {u, w} with w > u
             base = rowbase[u] + u + 1
             while row:
                 w = row.bit_length() - 1
-                row ^= 1 << w
+                row ^= bit[w]
                 append(base + w)
         self._open = index
         return index
@@ -423,8 +442,9 @@ class ProcessState:
         """Turn the OPEN pair {u, v}, u < v, into an EDGE; the index is untouched."""
         open_mask = self._open_mask
         adj_mask = self._adj_mask
-        bit_u = 1 << u
-        bit_v = 1 << v
+        bit = self._bit
+        bit_u = bit[u]
+        bit_v = bit[v]
 
         # every open pair {v, w} with w a neighbour of u gains the common
         # neighbour u, and symmetrically for {u, w}; those pairs close now
@@ -438,11 +458,11 @@ class ProcessState:
         result = _new_step(StepResult, ((u, v), close_v, close_u))
         while close_v:
             w = close_v.bit_length() - 1
-            close_v ^= 1 << w
+            close_v ^= bit[w]
             open_mask[w] ^= bit_v
         while close_u:
             w = close_u.bit_length() - 1
-            close_u ^= 1 << w
+            close_u ^= bit[w]
             open_mask[w] ^= bit_u
 
         self._log_u.append(u)
@@ -506,6 +526,7 @@ class ProcessState:
             draw = distinct_positions(rng, length, count)
             positions = draw(seen)
         open_mask = self._open_mask
+        bit = self._bit
         rowbase = self._rowbase
         isqrt = math.isqrt
         last = self._total - 1
@@ -516,7 +537,7 @@ class ProcessState:
                 rank = index[i]
                 u = top - ((isqrt(8 * (last - rank) + 1) - 1) >> 1)  # _unrank
                 v = rank - rowbase[u]
-                if open_mask[u] >> v & 1:
+                if open_mask[u] & bit[v]:
                     out.append((u, v))
                     if len(out) == count:
                         return out

@@ -10,6 +10,7 @@ import hashlib
 import importlib
 import json
 import math
+import multiprocessing
 import re
 import tracemalloc
 import warnings
@@ -491,7 +492,7 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
         def starmap(self, func, items):
             return [func(*item) for item in items]
 
-    monkeypatch.setattr(harness, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     rows, _ = sweep([10], 2, seed=1, jobs=8)
     assert started == [2]
     assert [r["status"] for r in rows] == ["ok"] * 2
@@ -503,7 +504,7 @@ def test_sweep_checks_memory_before_starting_workers(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(harness, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     with pytest.raises(SizingError, match="n=1000000"):
         sweep([10, 1_000_000], 1, seed=1, jobs=2)
     # the budget counts one largest run per concurrent worker
