@@ -31,12 +31,11 @@ and is rebuilt from the masks, as a compact `array` of exactly the OPEN
 ranks, once it holds more than 3Q + n entries; that costs O(n + Q) and
 keeps the expected draws per step below 3 + n/Q.
 
-Every single-bit mask the engine reads comes from `_bits(n)`, one
-tuple per n with `_bits(n)[w] == 1 << w`: `1 << w` allocates a new
-w-bit int on every call, and the step's OPEN test, the closure loops,
-the index rebuild and `restart` would otherwise build one per pair they
-touch.  `audit` keeps its own shifts, so its ground truth does not read
-the table.
+The engine reads every single-bit mask from `_bits(n)`, one tuple per
+n with `_bits(n)[w] == 1 << w`, because `1 << w` allocates a new w-bit
+int on every call and a run would build one per pair it touches.
+`audit` keeps its own shifts, so its ground truth does not read the
+table.
 
 The masks, the lazy index, the edge log and the RNG are the whole state.
 The edge log is two `array` columns of endpoints, 2 bytes each while
