@@ -402,6 +402,24 @@ def test_run_golden_outputs(tmp_path, capsys, c4_path):
     }
 
 
+def test_run_to_saturation_outputs_are_pinned(tmp_path, capsys):
+    # The checkpoints of this run reach every branch of the pair sampler
+    # on the rebuilt index: 204 draw from the getrandbits loop, 49 from
+    # Random.sample's pool and 34 walk the whole index (count >= Q). The
+    # golden above never leaves the range index.
+    out = tmp_path / "run"
+    assert main(["run", "--n", "200", "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("edges.log", "checkpoints.csv")
+    }
+    assert digests == {
+        "edges.log": "859392d3f0e42afa89557c28dc079cc3e34b87b97ac3b3d2f5031ead5c31024a",
+        "checkpoints.csv": "d2516aaad6287d93d106e20291974960d079a5727c244e03cd2d3f69d739137e",
+    }
+
+
 def test_run_rejects_bad_pattern_before_simulating(tmp_path):
     bad = tmp_path / "bad.pattern"
     bad.write_text("3 3\n0 1\n1 2\n0 2\n")
