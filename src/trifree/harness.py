@@ -29,6 +29,7 @@ import math
 import time
 import random
 from dataclasses import asdict, dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 from statistics import fmean, pstdev
 from typing import Iterable
@@ -246,6 +247,8 @@ def run_simulation(config: RunConfig) -> RunResult:
 CHECKPOINT_COLUMNS = tuple(
     "Q" if f.name == "open_pairs" else f.name for f in fields(Checkpoint)
 )
+# a checkpoint's values in CHECKPOINT_COLUMNS order
+_checkpoint_values = attrgetter(*(f.name for f in fields(Checkpoint)))
 
 
 def csv_field(value: object) -> str:
@@ -259,7 +262,7 @@ def csv_field(value: object) -> str:
 
 def checkpoint_row(cp: Checkpoint) -> list[str]:
     """Render a checkpoint as CSV fields in CHECKPOINT_COLUMNS order."""
-    return [csv_field(getattr(cp, f.name)) for f in fields(cp)]
+    return list(map(csv_field, _checkpoint_values(cp)))
 
 
 def _write_csv(path: Path, header: Iterable[str], rows: Iterable[list[str]]) -> None:

@@ -19,7 +19,7 @@ exactly the pairs {v, w} with w in `adj_mask[u] & open_mask[v]` and
 {u, w} with w in `adj_mask[v] & open_mask[u]`, so a step visits only the
 pairs it closes: O(1 + closed) interpreter iterations, each mask
 operation running in C.  The same masks give a pair's partial-vertex
-count as two popcounts.
+count as one popcount.
 
 The draw uses a lazy open-pair index: a sequence of pair ranks that
 holds every OPEN pair exactly once and possibly some pairs that have
@@ -130,57 +130,6 @@ def sample_pools(length: int, first: int) -> bool:
     if first > 5:
         setsize += 4 ** math.ceil(math.log(first * 3, 4))
     return length <= setsize
-
-
-def distinct_positions(
-    rng: random.Random, length: int, first: int
-) -> Callable[..., list[int]]:
-    """Return `draw(seen, count=None)`, which draws distinct uniform
-    positions of range(length) as one list and adds them to the set
-    `seen`.
-
-    `draw(seen)` gives the head: the positions and the draws of
-    `rng.sample(range(length), first)`.  `draw(seen, count)` after it,
-    with the head in `seen`, gives `count` more: the positions and draws
-    of `rng.randrange(length)` calls that skip the positions in `seen`.
-    Together they come in a uniformly random order.  Needs
-    0 <= first <= length and len(seen) + count <= length.
-
-    CPython's draw algorithms are written out in four places, each
-    pinned on the running Python: here
-    (`test_distinct_positions_matches_sample_then_randrange`), `sample`
-    in `patterns._sample_placements`
-    (`test_blocked_placements_matches_sample_reference*`), `randrange` in
-    `ProcessState.step` (`test_edge_sequence_is_pinned`) and `shuffle` in
-    `oracle.permutation_final_edges`
-    (`test_permutation_pass_matches_shuffle_reference`).  Above
-    `sample`'s set-size threshold (`sample_pools`), `sample` is itself
-    randbelow with redraws over a set, so every list comes from one
-    `getrandbits` rejection loop; at or below it, `sample` shuffles a
-    pool and is called for the head.
-    """
-    pool = sample_pools(length, first)
-    getrandbits = rng.getrandbits
-    bits = length.bit_length()
-
-    def draw(seen: set[int], count: int | None = None) -> list[int]:
-        if count is None:
-            if pool:
-                head = rng.sample(range(length), first)
-                seen.update(head)
-                return head
-            count = first
-        add = seen.add
-        out = []
-        for _ in range(count):
-            i = getrandbits(bits)
-            while i >= length or i in seen:
-                i = getrandbits(bits)
-            add(i)
-            out.append(i)
-        return out
-
-    return draw
 
 
 class PairStatus(IntEnum):
@@ -495,54 +444,93 @@ class ProcessState:
     # ------------------------------------------------------------------
     # measurement
 
-    def sample_open_pairs(
-        self, count: int, rng: random.Random
-    ) -> list[tuple[int, int]]:
-        """Uniformly sample distinct open pairs (all of them if count >= Q).
+    def partial_vertex_total(self, count: int, rng: random.Random) -> tuple[int, int]:
+        """Sample `count` distinct open pairs uniformly, or all of them if
+        count >= Q, and return the sum of their partial-vertex counts
+        |Y_{u,v}| and the number of pairs.
 
-        Visits index positions in a uniformly random order and keeps the
-        OPEN pairs it meets: every open pair sits at exactly one position,
-        so they arrive in a uniformly random order too.  The positions come
-        from `distinct_positions`: the `rng.sample` of `count` positions,
-        then, while pairs are missing, a batch of one `randrange` draw
-        that skips repeats per missing pair.  A batch can complete the
-        sample only at its last position, so the measurement stream is
-        that of drawing one position at a time.  Count >= Q
-        walks the whole index in order and draws nothing, as does
-        count <= 0.  Uses the supplied RNG, and reads the index without
-        rebuilding or reordering it, so measurement never perturbs the
-        process stream.
+        |Y_{u,v}| is the number of w with {u, w} an edge and {v, w} open,
+        or the other way round: one popcount of (adj[u] & open[v]) |
+        (adj[v] & open[u]), whose two masks are disjoint.  Index positions
+        are drawn in a uniformly random order and the OPEN pairs among
+        them kept; each open pair sits at exactly one position, so the
+        kept pairs are uniform.  The positions are those of
+        `rng.sample(range(length), count)` followed by `rng.randrange`
+        draws that skip the positions drawn before, until `count` pairs
+        are kept.  Count >= Q walks the index in order and draws nothing,
+        as does count <= 0.  The index is read, never rebuilt or
+        reordered, and only `rng` is drawn from, so measurement never
+        perturbs the process stream.
+
+        CPython's draw algorithms are written out in four places, each
+        pinned on the running Python: here
+        (`test_sample_open_pairs_matches_reference_over_a_run`, and
+        `test_partial_vertex_total_matches_sample_then_randrange` at
+        `sample`'s threshold), `sample` in `patterns._sample_placements`
+        (`test_blocked_placements_matches_sample_reference*`), `randrange`
+        in `step` (`test_edge_sequence_is_pinned`) and `shuffle` in
+        `oracle.permutation_final_edges`
+        (`test_permutation_pass_matches_shuffle_reference`).  Above
+        `sample`'s set-size threshold (`sample_pools`), `sample` is itself
+        randbelow with redraws over a set, so the whole sample comes from
+        one `getrandbits` rejection loop; at or below it, `sample`
+        shuffles a pool and is called for the head.  The loop's `seen`
+        holds only the kept positions: a repeat of a position that held a
+        closed pair is rejected again at the cost of the same one redraw,
+        so the stream is unchanged.
         """
         index = self._open
         length = len(index)
-        draw = None
-        if count >= self._open_count:
+        walk = count >= self._open_count
+        if walk:
             positions: Iterable[int] = range(length)
         elif count <= 0:
-            return []
+            return 0, 0
+        elif sample_pools(length, count):
+            positions = rng.sample(range(length), count)
         else:
-            seen: set[int] = set()
-            draw = distinct_positions(rng, length, count)
-            positions = draw(seen)
+            positions = ()
+        adj_mask = self._adj_mask
         open_mask = self._open_mask
         bit = self._bit
         rowbase = self._rowbase
         isqrt = math.isqrt
-        last = self._total - 1
+        root = 8 * self._total - 7  # 8 * last rank + 1, for _unrank
         top = self.n - 2
-        out: list[tuple[int, int]] = []
+        total = found = 0
+        seen: set[int] = set()
+        for i in positions:
+            rank = index[i]
+            u = top - ((isqrt(root - 8 * rank) - 1) >> 1)  # _unrank
+            v = rank - rowbase[u]
+            row = open_mask[u]
+            if row & bit[v]:
+                total += (
+                    (adj_mask[u] & open_mask[v]) | (adj_mask[v] & row)
+                ).bit_count()
+                found += 1
+                seen.add(i)
+        if walk or found == count:
+            return total, found
+        getrandbits = rng.getrandbits
+        bits = length.bit_length()
+        add = seen.add
         while True:
-            for i in positions:
+            # randrange(length) skipping the kept positions, written out
+            i = getrandbits(bits)
+            if i < length and i not in seen:
                 rank = index[i]
-                u = top - ((isqrt(8 * (last - rank) + 1) - 1) >> 1)  # _unrank
+                u = top - ((isqrt(root - 8 * rank) - 1) >> 1)  # _unrank
                 v = rank - rowbase[u]
-                if open_mask[u] & bit[v]:
-                    out.append((u, v))
-                    if len(out) == count:
-                        return out
-            if draw is None:
-                return out
-            positions = draw(seen, count - len(out))
+                row = open_mask[u]
+                if row & bit[v]:
+                    total += (
+                        (adj_mask[u] & open_mask[v]) | (adj_mask[v] & row)
+                    ).bit_count()
+                    found += 1
+                    if found == count:
+                        return total, found
+                    add(i)
 
     # ------------------------------------------------------------------
     # auditing

@@ -32,7 +32,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from statistics import fmean
 
 from .process import ProcessState
 
@@ -180,10 +179,11 @@ def take_checkpoint(
 ) -> Checkpoint:
     """Compare the live state against the reference curves.
 
-    Reads Q directly, samples `y_sample_count` open pairs uniformly with
-    `rng`, which must be independent of the process stream, and measures
-    each pair's partial-vertex count; the checkpoint keeps their mean,
-    not the counts.  Checkpoints past the horizon are allowed; there the
+    Reads Q directly and takes the mean partial-vertex count |Y| of
+    `y_sample_count` open pairs, sampled uniformly with `rng`, which must
+    be independent of the process stream.  The state sums the counts as
+    it samples (`ProcessState.partial_vertex_total`), so no pair or count
+    is kept.  Checkpoints past the horizon are allowed; there the
     curves are extrapolations.
     """
     if state.n != params.n:
@@ -195,15 +195,8 @@ def take_checkpoint(
     q_pred = n * n * open_pair_curve(t)
     q_fin = n * n * finite_open_pair_curve(t, n)
 
-    # |Y| of an open pair {u, v}: w with {u, w} an edge and {v, w} open,
-    # or the other way round; the two masks are disjoint
-    adj = state.edge_masks
-    opn = state.open_masks
-    ys = [
-        (adj[u] & opn[v]).bit_count() + (adj[v] & opn[u]).bit_count()
-        for u, v in state.sample_open_pairs(y_sample_count, rng)
-    ]
-    y_mean = fmean(ys) if ys else None
+    y_total, sampled = state.partial_vertex_total(y_sample_count, rng)
+    y_mean = y_total / sampled if sampled else None
     y_pred = math.sqrt(n) * partial_vertex_curve(t)
     y_fin = math.sqrt(n) * finite_partial_vertex_curve(t, n)
 

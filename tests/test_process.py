@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import random
 import tracemalloc
+from array import array
+from collections import Counter
 from itertools import combinations
 from statistics import fmean
 
@@ -20,8 +22,8 @@ from trifree.process import (
     SizingError,
     Steps,
     StepResult,
-    distinct_positions,
     estimated_bytes,
+    sample_pools,
 )
 from trifree.trajectory import TrajectoryParams, take_checkpoint
 
@@ -445,63 +447,33 @@ def stale_index_state():
     return state
 
 
+def partial_vertex_counts(state, pairs):
+    """|Y| of each open pair, as the sum of its two one-sided counts."""
+    adj, opn = state.edge_masks, state.open_masks
+    return [(adj[u] & opn[v]).bit_count() + (adj[v] & opn[u]).bit_count() for u, v in pairs]
+
+
 def test_sample_open_pairs_on_stale_index():
+    # any count below Q keeps that many pairs, whose |Y| sum lies between
+    # those of the count smallest and largest; count >= Q sums them all
     state = stale_index_state()
-    open_pairs = {p for p in all_pairs(8) if state.pair_status(*p) == PairStatus.OPEN}
+    open_pairs = [p for p in all_pairs(8) if state.pair_status(*p) == PairStatus.OPEN]
+    ys = sorted(partial_vertex_counts(state, open_pairs))
     q = state.open_pairs
-    assert len(open_pairs) == q < state.total_pairs // 2
+    assert len(ys) == q < state.total_pairs // 2
     rng = random.Random(3)
     for count in range(q):
         for _ in range(20):
-            sample = state.sample_open_pairs(count, rng)
-            assert len(sample) == count == len(set(sample))
-            assert set(sample) <= open_pairs
+            total, sampled = state.partial_vertex_total(count, rng)
+            assert sampled == count
+            assert sum(ys[:count]) <= total <= sum(ys[q - count:])
     for count in (q, q + 1, 100):
-        sample = state.sample_open_pairs(count, rng)
-        assert len(sample) == q and set(sample) == open_pairs
+        assert state.partial_vertex_total(count, rng) == (sum(ys), q)
     assert state._open == range(state.total_pairs)  # read, never rebuilt
 
 
-def sample_then_randrange(rng, length, first, take):
-    """The stream `distinct_positions` writes out: `sample`, then
-    `randrange` draws that skip repeats (test-side reference)."""
-    out = rng.sample(range(length), first)
-    seen = set(out)
-    while len(out) < take:
-        i = rng.randrange(length)
-        if i not in seen:
-            seen.add(i)
-            out.append(i)
-    return out
-
-
-def test_distinct_positions_matches_sample_then_randrange():
-    # Random.sample keeps a pool at or below 21 (+ 4^ceil(log4(3 first))
-    # for first > 5) positions and a set above; L crosses both thresholds.
-    # A Python that draws otherwise fails here before checkpoints.csv moves.
-    for first in (0, 1, 5, 6, 12, 200):
-        for length in range(max(first, 1), 2001):
-            # every position while L is small, else the head and 25 more
-            take = length if length <= 64 else min(length, first + 25)
-            a = random.Random(length * 1009 + first)
-            b = random.Random(length * 1009 + first)
-            expected = sample_then_randrange(a, length, first, take)
-            # the head, then the rest in batches of 1, 2, 4, ...
-            draw = distinct_positions(b, length, first)
-            seen: set[int] = set()
-            got = draw(seen)
-            while len(got) < take:
-                got += draw(seen, min(len(got) - first + 1, take - len(got)))
-            assert got == expected, (length, first)
-            assert a.getstate() == b.getstate(), (length, first)
-            assert seen == set(got)
-            if take == length:
-                assert sorted(got) == list(range(length))
-    assert distinct_positions(random.Random(0), 0, 0)(set()) == []
-
-
 def reference_sample_open_pairs(state, count, rng):
-    """`ProcessState.sample_open_pairs` as it was written with `rng.sample`,
+    """The open pairs a checkpoint samples, drawn with `rng.sample`,
     `randrange` and `_unrank` (test-side reference)."""
     index = state._open
     open_mask = state._open_mask
@@ -528,21 +500,27 @@ def reference_sample_open_pairs(state, count, rng):
     return out
 
 
+def assert_total_matches_reference(state, count, seed):
+    a = random.Random(seed)
+    b = random.Random(seed)
+    pairs = reference_sample_open_pairs(state, count, a)
+    expected = (sum(partial_vertex_counts(state, pairs)), len(pairs))
+    where = (state.n, state.steps, len(state._open), count)
+    assert state.partial_vertex_total(count, b) == expected, where
+    assert a.getstate() == b.getstate(), where
+
+
 def assert_sampler_matches_reference(state, seed):
     q = state.open_pairs
     for count in sorted({0, 1, 2, 5, 12, 200, max(q - 1, 0), q, q + 1}):
-        a = random.Random(seed * 31 + count)
-        b = random.Random(seed * 31 + count)
-        assert state.sample_open_pairs(count, b) == reference_sample_open_pairs(
-            state, count, a
-        ), (state.n, state.steps, count)
-        assert a.getstate() == b.getstate(), (state.n, state.steps, count)
+        assert_total_matches_reference(state, count, seed * 31 + count)
 
 
 @pytest.mark.parametrize("n", [4, 7, 12, 30, 150])
 def test_sample_open_pairs_matches_reference_over_a_run(n):
-    # every step but the early ones at n = 150, where count >= Q walks a
-    # long index; the late ones reach Random.sample's pool branch
+    # the |Y| sum, the number of pairs and the RNG's end state; every step
+    # but the early ones at n = 150, where count >= Q walks a long index;
+    # the late ones reach Random.sample's pool branch
     def check(s, _):
         if s.n <= 30 or s.steps % 50 == 0 or s.open_pairs < 400:
             assert_sampler_matches_reference(s, s.steps)
@@ -551,6 +529,32 @@ def test_sample_open_pairs_matches_reference_over_a_run(n):
     assert_sampler_matches_reference(state, 0)
     state.run(on_step=check)
     assert state.open_pairs == 0
+
+
+def test_partial_vertex_total_matches_sample_then_randrange():
+    # Random.sample keeps a pool at or below 21 (+ 4^ceil(log4(3 count))
+    # for count > 5) positions and a set above.  The index is set to
+    # every open rank plus as many stale ones, shuffled, for lengths at
+    # and just past that threshold and a few beyond; a Python that draws
+    # otherwise fails here before checkpoints.csv moves.
+    for count, threshold in ((1, 21), (5, 21), (6, 85), (12, 85), (200, 1045)):
+        for length in (threshold, threshold + 1, 2 * threshold, 8 * threshold):
+            assert sample_pools(length, count) == (length == threshold)
+            state = ProcessState(130, seed=count)  # 8385 pairs
+            while 2 * state.open_pairs > length:  # about half the index is stale
+                state.step()
+            assert count < state.open_pairs
+            open_ranks = [
+                state._rank(*p)
+                for p in all_pairs(130)
+                if state.pair_status(*p) == PairStatus.OPEN
+            ]
+            stale = sorted(set(range(state.total_pairs)) - set(open_ranks))
+            index = open_ranks + stale[: length - len(open_ranks)]
+            random.Random(length).shuffle(index)
+            state._open = array("I", index)
+            for seed in range(5):
+                assert_total_matches_reference(state, count, length * 1009 + seed)
 
 
 def test_sample_open_pairs_matches_reference_on_stale_index():
@@ -567,17 +571,19 @@ def test_sample_open_pairs_matches_reference_on_stale_index():
 
 
 def test_sample_open_pairs_is_uniform():
+    # one pair per draw: each |Y| value turns up as often as its share
+    # among the open pairs, within 4 sigma
     state = stale_index_state()
-    q = state.open_pairs
+    open_pairs = [p for p in all_pairs(8) if state.pair_status(*p) == PairStatus.OPEN]
+    shares = Counter(partial_vertex_counts(state, open_pairs))
+    assert len(shares) > 1
     trials = 20_000
-    hits = {p: 0 for p in all_pairs(8) if state.pair_status(*p) == PairStatus.OPEN}
-    for seed in range(trials):
-        for pair in state.sample_open_pairs(2, random.Random(seed)):
-            hits[pair] += 1
-    p = 2 / q
-    sigma = (p * (1 - p) / trials) ** 0.5
-    for pair, count in hits.items():
-        assert abs(count / trials - p) <= 4 * sigma, pair
+    hits = Counter(state.partial_vertex_total(1, random.Random(seed)) for seed in range(trials))
+    assert set(hits) <= {(y, 1) for y in shares}
+    for y, share in shares.items():
+        p = share / len(open_pairs)
+        sigma = (p * (1 - p) / trials) ** 0.5
+        assert abs(hits[y, 1] / trials - p) <= 4 * sigma, y
 
 
 # ----------------------------------------------------------------------

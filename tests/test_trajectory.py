@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from decimal import Decimal, getcontext
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -286,10 +287,15 @@ def test_checkpoint_mid_run_consistency():
         )
 
     # the same RNG seed draws the same 25 pairs
-    ys = [partial_vertices(u, v) for u, v in state.sample_open_pairs(25, random.Random(3))]
-    assert len(ys) == 25
-    assert math.isclose(cp.y_mean, sum(ys) / 25, rel_tol=1e-12)
+    assert cp.y_mean == state.partial_vertex_total(25, random.Random(3))[0] / 25
     assert cp.t == 40 / n**1.5
+    # asked for every open pair, the sum is that of the pair statuses
+    ys = [
+        partial_vertices(u, v)
+        for u, v in combinations(range(n), 2)
+        if state.pair_status(u, v) == PairStatus.OPEN
+    ]
+    assert state.partial_vertex_total(len(ys), random.Random(3)) == (sum(ys), len(ys))
 
 
 def test_checkpoint_rejects_mismatched_params():
@@ -325,7 +331,7 @@ def test_measurement_rng_does_not_touch_process_stream():
         take_checkpoint(a, params, 50, rng)  # only a is measured
         a.audit(100, rng)
         blocked_placements(a, pattern, 20, rng)
-        a.sample_open_pairs(3, rng)
+        a.partial_vertex_total(3, rng)
     assert all_open_checkpoints > 0
     b.run(Saturation())
     assert list(a.iter_edges()) == list(b.iter_edges())
