@@ -14,13 +14,15 @@ from contextlib import contextmanager
 import pytest
 
 # seconds per setup or call; the slowest phase, the acceptance fixture's
-# ten n = 2000 runs, takes about 9-12 s
+# ten n = 2000 runs, took 9-15 s on a shared 2-vCPU host
 TIME_LIMIT_S = 60
 
 
 class TimeLimitExceeded(BaseException):
     """Not an Exception, so `except Exception` in the code under test
-    cannot swallow it."""
+    cannot swallow it.  pytest caches only Exception failures of a
+    fixture, so a fixture that runs out of time is set up again, and
+    times out again, for each test that uses it."""
 
 
 def _expire(signum, frame):
