@@ -31,6 +31,9 @@ def _expire(signum, frame):
 
 @contextmanager
 def _time_limit():
+    if not hasattr(signal, "setitimer"):  # no SIGALRM on this platform
+        yield
+        return
     previous = signal.signal(signal.SIGALRM, _expire)
     signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
     try:
