@@ -29,7 +29,13 @@ acceptance the pair is uniform over the open pairs, so the process is
 exact.  Insertions never touch the index.  It starts as `range(total)`
 and is rebuilt from the masks, as a compact `array` of exactly the OPEN
 ranks, once it holds more than 3Q + n entries; that costs O(n + Q) and
-keeps the expected draws per step below 3 + n/Q.
+keeps the expected draws per step below 3 + n/Q.  A drawn rank r is
+decoded to its pair through `_rowblocks(n)`, which holds the row of
+every 64th rank: r lies in the row of rank 64 (r >> 6) or a later one,
+and is moved on a row at a time.  Most ranks take no step; only in the
+short last rows, where one block spans several, do they take more than
+one.  `_unrank` keeps the closed form, as the reference that `audit`
+and the tests read.
 
 The engine reads every single-bit mask from `_bits(n)`, one tuple per
 n with `_bits(n)[w] == 1 << w`, because `1 << w` allocates a new w-bit
@@ -82,15 +88,18 @@ def estimated_bytes(n: int) -> int:
     the pairs (each rebuild drops the old array before it builds the new
     one); the masks take n^2/4 bytes; the single-bit table `_bits(n)`,
     shared by every state of this n, 4 bytes per 30-bit digit (n^2/15 in
-    all) plus about 40 per int; the edges take BYTES_PER_EDGE each.
+    all) plus about 40 per int; the row table `_rowblocks(n)`, also
+    shared, one 8-byte reference per 64 pairs and one int per row; the
+    edges take BYTES_PER_EDGE each.
     """
     if n < 2:
         return 0
     total = n * (n - 1) // 2
     index = array(index_typecode(total)).itemsize * total // 3
     bits = n * n // 15 + 40 * n
+    rows = total // 8 + 32 * n
     edges = EDGE_COUNT_BOUND * n * math.sqrt(n * math.log(n))
-    return index + n * n // 4 + bits + int(BYTES_PER_EDGE * edges)
+    return index + n * n // 4 + bits + rows + int(BYTES_PER_EDGE * edges)
 
 
 @functools.cache  # n small ints per n, a state holds them anyway
@@ -103,6 +112,24 @@ def _rowbase(n: int) -> tuple[int, ...]:
 def _bits(n: int) -> tuple[int, ...]:
     """_bits(n)[w] == 1 << w for 0 <= w < n, built once per n."""
     return tuple(1 << w for w in range(n))
+
+
+@functools.cache  # about n^2/16 bytes per n, shared by its states
+def _rowblocks(n: int) -> tuple[int, ...]:
+    """_rowblocks(n)[b] is the row u of the pair of rank 64b, built once per n.
+
+    Rank r lies in row u = _rowblocks(n)[r >> 6] or a later one; while
+    r - _rowbase(n)[u] >= n it lies past row u, and v = r - _rowbase(n)[u]
+    once it does not.  A tuple, not an array, because indexing an array
+    builds a new int on every read; each row's entries share one int.
+    """
+    rowbase = _rowbase(n)
+    blocks: list[int] = []
+    for u in range(n - 1):
+        # the blocks whose first rank is below row u + 1's first rank
+        end = (rowbase[u + 1] + u + 2 + 63) >> 6
+        blocks += itertools.repeat(u, end - len(blocks))
+    return tuple(blocks)
 
 
 @functools.cache
@@ -217,6 +244,7 @@ class ProcessState:
         self._total = n * (n - 1) // 2
         self._rowbase = _rowbase(n)
         self._bit = _bits(n)
+        self._rows = _rowblocks(n)
         self._rng = random.Random(seed)
         self.restart()
 
@@ -326,12 +354,11 @@ class ProcessState:
         size = len(index)
         k = size.bit_length()
         draw = self._rng.getrandbits
-        isqrt = math.isqrt
         open_mask = self._open_mask
         bit = self._bit
+        rows = self._rows
         rowbase = self._rowbase
-        last = self._total - 1
-        top = self.n - 2
+        n = self.n
         misses = 0
         while size:
             # randrange(size), written out: same stream, exact uniform draw
@@ -339,8 +366,11 @@ class ProcessState:
             while i >= size:
                 i = draw(k)
             rank = index[i]
-            u = top - ((isqrt(8 * (last - rank) + 1) - 1) >> 1)  # _unrank
+            u = rows[rank >> 6]  # _unrank through the row table
             v = rank - rowbase[u]
+            while v >= n:
+                u += 1
+                v = rank - rowbase[u]
             if open_mask[u] & bit[v]:
                 return self._insert(u, v)
             misses += 1
@@ -474,10 +504,19 @@ class ProcessState:
         `sample`'s set-size threshold (`sample_pools`), `sample` is itself
         randbelow with redraws over a set, so the whole sample comes from
         one `getrandbits` rejection loop; at or below it, `sample`
-        shuffles a pool and is called for the head.  The loop's `seen`
-        holds only the kept positions: a repeat of a position that held a
-        closed pair is rejected again at the cost of the same one redraw,
-        so the stream is unchanged.
+        shuffles a pool and is called for the head.  The loop tests OPEN
+        first and consults `seen` only on an OPEN hit.  `seen` holds only
+        the kept positions, all OPEN, so the same draws are rejected as by
+        `sample`'s set of every drawn position: a repeat of a position
+        that held a closed pair is rejected again at the cost of the same
+        one redraw, so the stream is unchanged.
+
+        The rank-to-pair decode through `_rowblocks(n)` is written out in
+        three places, `step` and both loops here.  The table is checked
+        against `_unrank` for every rank
+        (`test_row_table_decode_matches_unrank`), and each of the three
+        places at every rank of small n
+        (`test_step_and_sampler_decode_every_rank`).
         """
         index = self._open
         length = len(index)
@@ -493,16 +532,18 @@ class ProcessState:
         adj_mask = self._adj_mask
         open_mask = self._open_mask
         bit = self._bit
+        rows = self._rows
         rowbase = self._rowbase
-        isqrt = math.isqrt
-        root = 8 * self._total - 7  # 8 * last rank + 1, for _unrank
-        top = self.n - 2
+        n = self.n
         total = found = 0
         seen: set[int] = set()
         for i in positions:
             rank = index[i]
-            u = top - ((isqrt(root - 8 * rank) - 1) >> 1)  # _unrank
+            u = rows[rank >> 6]  # _unrank through the row table
             v = rank - rowbase[u]
+            while v >= n:
+                u += 1
+                v = rank - rowbase[u]
             row = open_mask[u]
             if row & bit[v]:
                 total += (
@@ -518,12 +559,15 @@ class ProcessState:
         while True:
             # randrange(length) skipping the kept positions, written out
             i = getrandbits(bits)
-            if i < length and i not in seen:
+            if i < length:
                 rank = index[i]
-                u = top - ((isqrt(root - 8 * rank) - 1) >> 1)  # _unrank
+                u = rows[rank >> 6]  # _unrank through the row table
                 v = rank - rowbase[u]
+                while v >= n:
+                    u += 1
+                    v = rank - rowbase[u]
                 row = open_mask[u]
-                if row & bit[v]:
+                if row & bit[v] and i not in seen:
                     total += (
                         (adj_mask[u] & open_mask[v]) | (adj_mask[v] & row)
                     ).bit_count()

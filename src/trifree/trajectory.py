@@ -193,12 +193,14 @@ def take_checkpoint(
     t = scaled_time(i, n)
     q_obs = state.open_pairs
     q_pred = n * n * open_pair_curve(t)
-    q_fin = n * n * finite_open_pair_curve(t, n)
+    q_tilde = finite_open_pair_curve(t, n)
+    q_fin = n * n * q_tilde
 
     y_total, sampled = state.partial_vertex_total(y_sample_count, rng)
     y_mean = y_total / sampled if sampled else None
     y_pred = math.sqrt(n) * partial_vertex_curve(t)
-    y_fin = math.sqrt(n) * finite_partial_vertex_curve(t, n)
+    # finite_partial_vertex_curve(t, n), without evaluating q~ again
+    y_fin = math.sqrt(n) * (8.0 * t * q_tilde)
 
     return Checkpoint(
         step=i,

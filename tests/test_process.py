@@ -22,6 +22,8 @@ from trifree.process import (
     SizingError,
     Steps,
     StepResult,
+    _rowbase,
+    _rowblocks,
     estimated_bytes,
     sample_pools,
 )
@@ -251,6 +253,57 @@ def test_rank_unrank_roundtrip():
         u, v = state._unrank(rank)
         assert 0 <= u < v < 2000
         assert state._rank(u, v) == rank
+
+
+def table_unrank(n, rank):
+    """The decode that `step` and the sampler write out, test-side."""
+    rows, rowbase = _rowblocks(n), _rowbase(n)
+    u = rows[rank >> 6]
+    while rank - rowbase[u] >= n:
+        u += 1
+    return u, rank - rowbase[u]
+
+
+def test_row_table_decode_matches_unrank():
+    # below n = 66 every row is shorter than a block, so blocks span rows
+    for n in [*range(2, 121), 1200]:
+        state = ProcessState(n, seed=0)
+        total = state.total_pairs
+        assert len(_rowblocks(n)) == (total + 63) // 64
+        bad = next((r for r in range(total) if table_unrank(n, r) != state._unrank(r)), None)
+        assert bad is None, (n, bad)
+
+
+class BoundedRandom(random.Random):
+    """Raises instead of drawing forever when no drawn position is kept."""
+
+    def getrandbits(self, k):
+        self.draws = getattr(self, "draws", 0) + 1
+        if self.draws > 1000:
+            raise RuntimeError("no drawn position held an OPEN pair")
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("n", [8, 12, 40, 70])
+def test_step_and_sampler_decode_every_rank(n):
+    # an index of copies of one rank: `step` must insert its pair, and
+    # each sampler loop must keep it with its |Y|
+    state = ProcessState(n, seed=n).run(Steps(n))
+    ranks = range(state.total_pairs)
+    opened = [r for r in ranks if state.pair_status(*state._unrank(r)) == PairStatus.OPEN]
+    assert 0 < len(opened) < len(ranks)
+    for r in opened:
+        pair = state._unrank(r)
+        expected = (partial_vertex_counts(state, [pair])[0], 1)
+        for copies in (1, 22):  # the pool head, then the getrandbits loop
+            assert sample_pools(copies, 1) == (copies == 1)
+            state._open = array("I", [r] * copies)
+            assert state.partial_vertex_total(1, BoundedRandom(r)) == expected, (r, copies)
+    fresh = ProcessState(n, seed=0)
+    for r in ranks:
+        fresh.restart()
+        fresh._open = range(r, r + 1)
+        assert fresh.step().chosen == fresh._unrank(r), r
 
 
 def test_pair_status_argument_errors():

@@ -22,6 +22,7 @@ KEPT_UNREAD = {
     "process.ProcessState.pair_status": "test fixtures over the public state",
     "process.ProcessState.force_step": "test fixtures over the public state",
     "trajectory.log_open_pair_envelope": "acceptance criterion 9's envelope branch check",
+    "trajectory.finite_partial_vertex_curve": "acceptance criterion 4 and the trajectory tests",
 }
 
 
