@@ -24,8 +24,8 @@ TIME_LIMIT_S = 60
 class TimeLimitExceeded(BaseException):
     """Not an Exception, so `except Exception` in the code under test
     cannot swallow it.  pytest caches only Exception failures of a
-    fixture, so `pytest_fixture_setup` below remembers the fixtures it
-    stopped."""
+    fixture, so `pytest_fixture_setup` below remembers each fixture
+    whose setup ran out of time."""
 
 
 # the session's (fixture definition, parameter index) of each setup the
