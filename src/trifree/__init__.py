@@ -39,13 +39,10 @@ from .patterns import (
     classify_placement,
     complete_bipartite_pattern,
     cycle_pattern,
-    find_copy,
     load_pattern_file,
     make_pattern,
     max_edges_k_subset,
     parse_pattern,
-    path_pattern,
-    single_edge_pattern,
 )
 from .harness import RunConfig, RunSummary, run_simulation
 

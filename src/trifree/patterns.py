@@ -19,7 +19,7 @@ set, so a set smaller than that count (the level's `need`) is a dead
 end.  A one-level look-ahead: before placing a candidate, the search
 computes the next level's candidate set with it placed and skips the
 candidate when the set is below the next level's `need`.  The search
-serves three callers.  `find_copy` searches a whole graph.
+serves two callers.
 `FirstAppearanceTracker` runs it incrementally: after inserting an edge,
 only copies whose image uses that edge are searched, anchored at one
 pattern edge orientation per automorphism orbit; the run driver decides
@@ -27,7 +27,8 @@ which edges a tracker is offered.  And those orbits come
 from the same search run on the pattern's own rows, since a bijection of
 the k pattern vertices that maps edges to edges is an automorphism;
 every automorphism found marks the images of the anchors' orbits, and
-marked orientations are not searched again.  A
+marked orientations are not searched again.  (The tests' whole-graph
+reference, `find_copy` in `tests/reference.py`, runs it unanchored.)  A
 placement is classified by comparing, per complete bipartite piece of
 the pattern, the mask of its heads' images against the blocked and
 non-edge rows of its centres' images; random placements are drawn and
@@ -185,18 +186,6 @@ def pattern_text(pattern: Pattern) -> str:
 # ----------------------------------------------------------------------
 # common pattern constructors
 
-def single_edge_pattern() -> Pattern:
-    return make_pattern(2, [(0, 1)], name="edge")
-
-
-def path_pattern(edge_count: int) -> Pattern:
-    return make_pattern(
-        edge_count + 1,
-        [(i, i + 1) for i in range(edge_count)],
-        name=f"P{edge_count + 1}",
-    )
-
-
 def cycle_pattern(length: int) -> Pattern:
     if length < 4:
         raise PatternError("cycles shorter than C4 are not triangle-free patterns")
@@ -320,16 +309,6 @@ def _extend(
             return assign
         del assign[pv]
     return None
-
-
-def find_copy(rows: list[int], pattern: Pattern) -> tuple[int, ...] | None:
-    """An injective placement realising every pattern edge, or None.
-
-    `rows` are the graph's edge rows.  A pattern larger than the graph
-    has no copy: the first level's `need` is k, above the n candidates.
-    """
-    copy = _search(rows, _build_order(pattern, anchored=None), {}, 0)
-    return None if copy is None else tuple(copy[a] for a in range(pattern.k))
 
 
 def anchor_orientations(pattern: Pattern) -> dict[tuple[int, int], _Order]:

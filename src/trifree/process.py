@@ -303,19 +303,6 @@ class ProcessState:
         """Row v has bit w set iff {v, w} is OPEN; the live store, not a copy."""
         return self._open_mask
 
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
-
-    def _rank(self, u: int, v: int) -> int:
-        if u == v:
-            raise ValueError(f"pair requires distinct vertices, got ({u}, {v})")
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u > v:
-            u, v = v, u
-        return self._rowbase[u] + v
-
     def _unrank(self, rank: int) -> tuple[int, int]:
         # Read from the end, rows hold 1, 2, 3, ... pairs, so the pair
         # `back` places before the last lies in row k from the end (0-based)
@@ -331,10 +318,6 @@ class ProcessState:
         if self._adj_mask[u] >> v & 1:
             return PairStatus.EDGE
         return PairStatus.CLOSED
-
-    def pair_status(self, u: int, v: int) -> PairStatus:
-        self._rank(u, v)
-        return self._stored_status(u, v)
 
     # ------------------------------------------------------------------
     # stepping
@@ -382,18 +365,6 @@ class ProcessState:
                 k = size.bit_length()
                 misses = 0
         return None
-
-    def force_step(self, u: int, v: int) -> StepResult:
-        """Insert a specific open pair, bypassing the random draw.
-
-        Intended for building test fixtures; the pair must be open.
-        """
-        self._rank(u, v)
-        status = self._stored_status(u, v)
-        if status != PairStatus.OPEN:
-            raise ValueError(f"pair ({u}, {v}) is {status.name}, not OPEN")
-        # the pair stays in the lazy index, where it is now stale
-        return self._insert(min(u, v), max(u, v))
 
     def _compact(self) -> array:
         """Rebuild the lazy index as exactly the OPEN ranks, read from the masks.

@@ -54,6 +54,8 @@ from trifree.process import (
 )
 from trifree.trajectory import default_cadence, step_horizon
 
+from reference import pair_status
+
 C4_FILE_TEXT = pattern_text(cycle_pattern(4))
 
 
@@ -617,7 +619,7 @@ def test_audit_run_catches_corruption(monkeypatch):
                     (u, v)
                     for u in range(self.n)
                     for v in range(u + 1, self.n)
-                    if self.pair_status(u, v) == PairStatus.OPEN
+                    if pair_status(self, u, v) == PairStatus.OPEN
                 )
                 self._open_mask[u] &= ~(1 << v)
                 self._open_mask[v] &= ~(1 << u)

@@ -18,15 +18,14 @@ from trifree.patterns import (
     classify_placement,
     complete_bipartite_pattern,
     cycle_pattern,
-    find_copy,
     load_pattern_file,
     make_pattern,
     max_edges_k_subset,
     parse_pattern,
-    path_pattern,
     pattern_text,
-    single_edge_pattern,
 )
+
+from reference import find_copy, force_step, pair_status, path_pattern, single_edge_pattern
 
 C4_TEXT = """\
 # a four-cycle
@@ -464,7 +463,7 @@ def test_blocked_placements_matches_closed_density_for_single_edge():
     closed = sum(
         1
         for u, v in itertools.combinations(range(20), 2)
-        if state.pair_status(u, v).name == "CLOSED"
+        if pair_status(state, u, v).name == "CLOSED"
     )
     exact = closed / state.total_pairs
     report = blocked_placements(
@@ -504,8 +503,8 @@ def test_bicliques_cover_the_pattern_edges():
 
 def test_classify_placement_cases():
     state = ProcessState(6, seed=1)
-    state.force_step(0, 1)
-    state.force_step(1, 2)  # path 0-1-2; {0,2} closed
+    force_step(state, 0, 1)
+    force_step(state, 1, 2)  # path 0-1-2; {0,2} closed
     p3 = path_pattern(2)  # edges (0,1),(1,2)
     assert classify_placement(state, p3, (0, 1, 2)) == PlacementClass.REALIZED
     # map the path onto 0-2 via 1: edge (0,1)->{0,2} closed
@@ -523,7 +522,7 @@ def test_classify_placement_rejects_bad_mapping():
 
 def reference_placement_class(state, pattern, mapping):
     """Verdict from one pair_status call per pattern edge (test-side oracle)."""
-    statuses = [state.pair_status(mapping[a], mapping[b]) for a, b in pattern.edges]
+    statuses = [pair_status(state, mapping[a], mapping[b]) for a, b in pattern.edges]
     if PairStatus.CLOSED in statuses:
         return PlacementClass.BLOCKED
     if all(s == PairStatus.EDGE for s in statuses):

@@ -29,6 +29,8 @@ from trifree.process import (
 )
 from trifree.trajectory import TrajectoryParams, take_checkpoint
 
+from reference import force_step, pair_rank, pair_status
+
 
 def edge_list(state):
     return list(state.iter_edges())
@@ -116,7 +118,7 @@ def test_estimated_bytes_bounds_the_traced_peak(n):
 def test_initial_state_all_open():
     state = ProcessState(6, seed=3)
     for u, v in all_pairs(6):
-        assert state.pair_status(u, v) == PairStatus.OPEN
+        assert pair_status(state, u, v) == PairStatus.OPEN
     assert state.audit(1000).ok
 
 
@@ -137,7 +139,7 @@ def test_n3_saturates_with_two_edges():
     assert outcome.open_pairs == 0
     assert state.open_pairs == 0
     # the remaining pair is closed, not an edge
-    statuses = sorted(state.pair_status(u, v).name for u, v in all_pairs(3))
+    statuses = sorted(pair_status(state, u, v).name for u, v in all_pairs(3))
     assert statuses == ["CLOSED", "EDGE", "EDGE"]
 
 
@@ -145,8 +147,8 @@ def test_star_insertion_closes_spokes():
     # edges {0,2},{0,3},{0,4} exist; inserting {0,1} closes {1,2},{1,3},{1,4}
     state = ProcessState(5, seed=0)
     for w in (2, 3, 4):
-        state.force_step(0, w)
-    result = state.force_step(0, 1)
+        force_step(state, 0, w)
+    result = force_step(state, 0, 1)
     assert result.chosen == (0, 1)
     assert set(result.newly_closed) == {(1, 2), (1, 3), (1, 4)}
 
@@ -154,8 +156,8 @@ def test_star_insertion_closes_spokes():
 def test_step_result_equals_the_named_tuple_built_one():
     state = ProcessState(5, seed=0)
     for w in (2, 3, 4):
-        state.force_step(0, w)
-    result = state.force_step(0, 1)
+        force_step(state, 0, w)
+    result = force_step(state, 0, 1)
     built = StepResult((0, 1), result.close_v, result.close_u)
     assert type(result) is StepResult
     assert result == built and hash(result) == hash(built)
@@ -201,9 +203,9 @@ def test_saturation_signal_is_not_an_error():
 
 def test_force_step_requires_open_pair():
     state = ProcessState(4, seed=9)
-    state.force_step(0, 1)
+    force_step(state, 0, 1)
     with pytest.raises(ValueError, match="EDGE"):
-        state.force_step(0, 1)
+        force_step(state, 0, 1)
 
 
 def test_run_to_saturation_is_maximal_triangle_free():
@@ -214,7 +216,7 @@ def test_run_to_saturation_is_maximal_triangle_free():
     assert report.ok and not report.triangles
     # maximality: every non-edge has a common neighbour
     for u, v in all_pairs(4):
-        assert state.pair_status(u, v) != PairStatus.OPEN
+        assert pair_status(state, u, v) != PairStatus.OPEN
 
 
 def test_run_step_limit():
@@ -230,21 +232,21 @@ def test_run_step_limit():
 
 def test_pair_status_cases():
     state = ProcessState(4, seed=1)
-    assert state.pair_status(0, 3) == PairStatus.OPEN
-    state.force_step(0, 1)
-    state.force_step(1, 2)
+    assert pair_status(state, 0, 3) == PairStatus.OPEN
+    force_step(state, 0, 1)
+    force_step(state, 1, 2)
     # path 0-1-2: pair {0,2} closed by common neighbour 1
-    assert state.pair_status(0, 2) == PairStatus.CLOSED
-    assert state.pair_status(0, 1) == PairStatus.EDGE
+    assert pair_status(state, 0, 2) == PairStatus.CLOSED
+    assert pair_status(state, 0, 1) == PairStatus.EDGE
     # vertex 3 is isolated
-    assert state.pair_status(0, 3) == PairStatus.OPEN
+    assert pair_status(state, 0, 3) == PairStatus.OPEN
 
 
 def test_rank_unrank_roundtrip():
     for n in range(2, 65):
         state = ProcessState(n, seed=0)
         pairs = all_pairs(n)
-        assert [state._rank(u, v) for u, v in pairs] == list(range(len(pairs)))
+        assert [pair_rank(state, u, v) for u, v in pairs] == list(range(len(pairs)))
         assert [state._unrank(r) for r in range(len(pairs))] == pairs
     state = ProcessState(2000, seed=0)
     total = state.total_pairs
@@ -252,7 +254,7 @@ def test_rank_unrank_roundtrip():
     for rank in [0, total - 1] + [rng.randrange(total) for _ in range(10_000)]:
         u, v = state._unrank(rank)
         assert 0 <= u < v < 2000
-        assert state._rank(u, v) == rank
+        assert pair_rank(state, u, v) == rank
 
 
 def table_unrank(n, rank):
@@ -290,7 +292,7 @@ def test_step_and_sampler_decode_every_rank(n):
     # each sampler loop must keep it with its |Y|
     state = ProcessState(n, seed=n).run(Steps(n))
     ranks = range(state.total_pairs)
-    opened = [r for r in ranks if state.pair_status(*state._unrank(r)) == PairStatus.OPEN]
+    opened = [r for r in ranks if pair_status(state, *state._unrank(r)) == PairStatus.OPEN]
     assert 0 < len(opened) < len(ranks)
     for r in opened:
         pair = state._unrank(r)
@@ -309,11 +311,11 @@ def test_step_and_sampler_decode_every_rank(n):
 def test_pair_status_argument_errors():
     state = ProcessState(4, seed=1)
     with pytest.raises(ValueError):
-        state.pair_status(2, 2)
+        pair_status(state, 2, 2)
     with pytest.raises(ValueError):
-        state.pair_status(0, 4)
+        pair_status(state, 0, 4)
     with pytest.raises(ValueError):
-        state.pair_status(-1, 2)
+        pair_status(state, -1, 2)
 
 
 def test_open_pair_count_after_one_step():
@@ -385,7 +387,7 @@ def clear_open_bit(state, one_sided=False):
     engine's back: in both endpoints' masks, or only in v's, which a check
     reading u's side alone would miss."""
     u, v = next(
-        (u, v) for u, v in all_pairs(state.n) if state.pair_status(u, v) == PairStatus.OPEN
+        (u, v) for u, v in all_pairs(state.n) if pair_status(state, u, v) == PairStatus.OPEN
     )
     state._open_mask[v] &= ~(1 << u)
     if not one_sided:
@@ -465,8 +467,8 @@ def test_audit_matches_per_pair_reference():
 
 def test_audit_detects_planted_triangle():
     state = ProcessState(6, seed=8)
-    state.force_step(0, 1)
-    state.force_step(1, 2)
+    force_step(state, 0, 1)
+    force_step(state, 1, 2)
     # the log is read-only from outside: its public view has no append
     with pytest.raises(AttributeError):
         state.iter_edges().append((0, 2))
@@ -495,7 +497,7 @@ def stale_index_state():
     most of its entries are no longer OPEN."""
     state = ProcessState(8, seed=4)
     for u, v in ((0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (1, 4), (6, 7), (2, 7)):
-        state.force_step(u, v)
+        force_step(state, u, v)
     assert state._open == range(state.total_pairs)
     return state
 
@@ -510,7 +512,7 @@ def test_sample_open_pairs_on_stale_index():
     # any count below Q keeps that many pairs, whose |Y| sum lies between
     # those of the count smallest and largest; count >= Q sums them all
     state = stale_index_state()
-    open_pairs = [p for p in all_pairs(8) if state.pair_status(*p) == PairStatus.OPEN]
+    open_pairs = [p for p in all_pairs(8) if pair_status(state, *p) == PairStatus.OPEN]
     ys = sorted(partial_vertex_counts(state, open_pairs))
     q = state.open_pairs
     assert len(ys) == q < state.total_pairs // 2
@@ -598,9 +600,9 @@ def test_partial_vertex_total_matches_sample_then_randrange():
                 state.step()
             assert count < state.open_pairs
             open_ranks = [
-                state._rank(*p)
+                pair_rank(state, *p)
                 for p in all_pairs(130)
-                if state.pair_status(*p) == PairStatus.OPEN
+                if pair_status(state, *p) == PairStatus.OPEN
             ]
             stale = sorted(set(range(state.total_pairs)) - set(open_ranks))
             index = open_ranks + stale[: length - len(open_ranks)]
@@ -616,7 +618,7 @@ def test_sample_open_pairs_matches_reference_on_stale_index():
     state = ProcessState(30, seed=2)
     state.run(Steps(40))
     pairs = combinations(range(30), 2)
-    state.force_step(*next(p for p in pairs if state.pair_status(*p) == PairStatus.OPEN))
+    force_step(state, *next(p for p in pairs if pair_status(state, *p) == PairStatus.OPEN))
     ranks = state._open
     for seed in range(20):
         assert_sampler_matches_reference(state, seed)
@@ -627,7 +629,7 @@ def test_sample_open_pairs_is_uniform():
     # one pair per draw: each |Y| value turns up as often as its share
     # among the open pairs, within 4 sigma
     state = stale_index_state()
-    open_pairs = [p for p in all_pairs(8) if state.pair_status(*p) == PairStatus.OPEN]
+    open_pairs = [p for p in all_pairs(8) if pair_status(state, *p) == PairStatus.OPEN]
     shares = Counter(partial_vertex_counts(state, open_pairs))
     assert len(shares) > 1
     trials = 20_000
@@ -741,7 +743,7 @@ def test_full_run_invariants(n, seed):
         counts = {PairStatus.OPEN: 0, PairStatus.EDGE: 0, PairStatus.CLOSED: 0}
         closed_now = set()
         for a, b in combinations(range(n), 2):
-            stored = state.pair_status(a, b)
+            stored = pair_status(state, a, b)
             assert stored == ground_truth_status(rows, a, b)
             counts[stored] += 1
             if stored == PairStatus.CLOSED:
@@ -763,9 +765,9 @@ def test_full_run_invariants(n, seed):
 
         # the lazy index holds every OPEN rank, and a rebuild exactly those
         open_ranks = {
-            state._rank(a, b)
+            pair_rank(state, a, b)
             for a, b in combinations(range(n), 2)
-            if state.pair_status(a, b) == PairStatus.OPEN
+            if pair_status(state, a, b) == PairStatus.OPEN
         }
         index = state._open
         assert {r for r in index if r in open_ranks} == open_ranks

@@ -31,6 +31,8 @@ from trifree.trajectory import (
     take_checkpoint,
 )
 
+from reference import pair_status
+
 
 def horizon_oracle(n: int) -> int:
     """High-precision recomputation of the step horizon."""
@@ -281,7 +283,7 @@ def test_checkpoint_mid_run_consistency():
         # w with one of {u, w}, {v, w} an edge and the other open
         edge_open = {PairStatus.EDGE, PairStatus.OPEN}
         return sum(
-            {state.pair_status(u, w), state.pair_status(v, w)} == edge_open
+            {pair_status(state, u, w), pair_status(state, v, w)} == edge_open
             for w in range(n)
             if w not in (u, v)
         )
@@ -293,7 +295,7 @@ def test_checkpoint_mid_run_consistency():
     ys = [
         partial_vertices(u, v)
         for u, v in combinations(range(n), 2)
-        if state.pair_status(u, v) == PairStatus.OPEN
+        if pair_status(state, u, v) == PairStatus.OPEN
     ]
     assert state.partial_vertex_total(len(ys), random.Random(3)) == (sum(ys), len(ys))
 
