@@ -142,7 +142,7 @@ def parse_pattern(text: str, name: str = "") -> Pattern:
     offending 1-based line number.
     """
     header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -161,13 +161,19 @@ def parse_pattern(text: str, name: str = "") -> Pattern:
             continue
         if a >= b:
             raise PatternError(f"line {lineno}: edges must satisfy u < v, got {a} {b}")
-        edges.append((a, b))
+        if a < 0 or b >= header[0]:
+            raise PatternError(
+                f"line {lineno}: edge ({a}, {b}) out of range for k={header[0]}"
+            )
+        if (a, b) in edges:
+            raise PatternError(f"line {lineno}: duplicate edge {(a, b)}")
+        edges.add((a, b))
     if header is None:
         raise PatternError("empty pattern file")
     k, e = header
     if len(edges) != e:
         raise PatternError(f"header declares {e} edges but {len(edges)} were given")
-    return make_pattern(k, edges, name=name)
+    return make_pattern(k, sorted(edges), name=name)
 
 
 def load_pattern_file(path: str) -> Pattern:
@@ -213,31 +219,31 @@ def _mask(vertices) -> int:
 _Order = list[tuple[int, tuple[int, ...], int, int]]
 
 
-def _build_order(pattern: Pattern, anchored: tuple[int, int] | None) -> _Order:
+def _build_order(pattern: Pattern, placed: tuple[int, ...]) -> _Order:
     """Greedy vertex order: most placed-neighbours first, then degree.
 
     Entries are (pattern vertex, placed pattern neighbours, min degree,
     need), where `need` counts the unplaced vertices, this one included,
     that are adjacent to all of those placed neighbours: their images are
-    distinct members of this level's candidate set.  With no anchor the
-    order covers every vertex (the first entry has no constraints); with
-    an anchor it covers the k-2 remaining vertices.
+    distinct members of this level's candidate set.  `placed` holds the
+    vertices already placed (an anchor's two, or none), and the order
+    covers the rest.
     """
     rows = pattern.rows
-    placed: list[int] = list(anchored) if anchored else []
-    placed_mask = _mask(placed)
-    remaining = [a for a in range(pattern.k) if a not in placed]
+    done = list(placed)
+    placed_mask = _mask(done)
+    remaining = [a for a in range(pattern.k) if a not in done]
     order: _Order = []
     while remaining:
         best = max(
             remaining,
             key=lambda a: ((rows[a] & placed_mask).bit_count(), rows[a].bit_count()),
         )
-        nbrs = tuple(b for b in placed if rows[best] >> b & 1)
+        nbrs = tuple(b for b in done if rows[best] >> b & 1)
         nbrs_mask = _mask(nbrs)
         need = sum(rows[a] & nbrs_mask == nbrs_mask for a in remaining)
         order.append((best, nbrs, rows[best].bit_count(), need))
-        placed.append(best)
+        done.append(best)
         placed_mask |= 1 << best
         remaining.remove(best)
     return order
@@ -337,7 +343,7 @@ def anchor_orientations(pattern: Pattern) -> dict[tuple[int, int], _Order]:
                     automorphisms.append(tuple(copy[v] for v in range(pattern.k)))
                     break
             else:
-                anchors[c, d] = _build_order(pattern, anchored=(c, d))
+                anchors[c, d] = _build_order(pattern, (c, d))
             marked.add((c, d))
             frontier = list(marked)
             while frontier:

@@ -34,8 +34,7 @@ decoded to its pair through `_rowblocks(n)`, which holds the row of
 every 64th rank: r lies in the row of rank 64 (r >> 6) or a later one,
 and is moved on a row at a time.  Most ranks take no step; only in the
 short last rows, where one block spans several, do they take more than
-one.  `_unrank` keeps the closed form, as the reference that `audit`
-and the tests read.
+one.  The tests keep the closed-form decode as the table's reference.
 
 The engine reads every single-bit mask from `_bits(n)`, one tuple per
 n with `_bits(n)[w] == 1 << w`, because `1 << w` allocates a new w-bit
@@ -303,15 +302,6 @@ class ProcessState:
         """Row v has bit w set iff {v, w} is OPEN; the live store, not a copy."""
         return self._open_mask
 
-    def _unrank(self, rank: int) -> tuple[int, int]:
-        # Read from the end, rows hold 1, 2, 3, ... pairs, so the pair
-        # `back` places before the last lies in row k from the end (0-based)
-        # for the largest k with k(k+1)/2 <= back; isqrt makes this exact.
-        back = self._total - 1 - rank
-        k = (math.isqrt(8 * back + 1) - 1) >> 1
-        u = self.n - 2 - k
-        return u, rank - self._rowbase[u]
-
     def _stored_status(self, u: int, v: int) -> PairStatus:
         if self._open_mask[u] >> v & 1:
             return PairStatus.OPEN
@@ -349,7 +339,7 @@ class ProcessState:
             while i >= size:
                 i = draw(k)
             rank = index[i]
-            u = rows[rank >> 6]  # _unrank through the row table
+            u = rows[rank >> 6]  # rank to pair through the row table
             v = rank - rowbase[u]
             while v >= n:
                 u += 1
@@ -484,7 +474,7 @@ class ProcessState:
 
         The rank-to-pair decode through `_rowblocks(n)` is written out in
         three places, `step` and both loops here.  The table is checked
-        against `_unrank` for every rank
+        against a closed-form decode for every rank
         (`test_row_table_decode_matches_unrank`), and each of the three
         places at every rank of small n
         (`test_step_and_sampler_decode_every_rank`).
@@ -510,7 +500,7 @@ class ProcessState:
         seen: set[int] = set()
         for i in positions:
             rank = index[i]
-            u = rows[rank >> 6]  # _unrank through the row table
+            u = rows[rank >> 6]  # rank to pair through the row table
             v = rank - rowbase[u]
             while v >= n:
                 u += 1
@@ -532,7 +522,7 @@ class ProcessState:
             i = getrandbits(bits)
             if i < length:
                 rank = index[i]
-                u = rows[rank >> 6]  # _unrank through the row table
+                u = rows[rank >> 6]  # rank to pair through the row table
                 v = rank - rowbase[u]
                 while v >= n:
                     u += 1
@@ -558,22 +548,21 @@ class ProcessState:
         from the edge log alone, and scans every logged edge for a common
         endpoint neighbour (a triangle).  The ground truth is built as
         rows from the log, never from the masks: a non-edge {v, w} is
-        CLOSED iff w is in the OR of the edge rows of v's neighbours.  A
-        pair whose stored row disagrees with the truth under either
-        endpoint is suspect, and only suspect pairs in the sample are
-        compared one by one, so a full audit costs O(n + edges) mask
-        operations.
+        CLOSED iff w is in the OR of the edge rows of v's neighbours.
+        Each vertex's stored rows are compared with its truth rows, so a
+        full audit costs O(n + edges) mask operations.  A pair is stored
+        twice, as (open bit, edge bit) under either endpoint, and the
+        first copy that disagrees, the lower endpoint's if that one does,
+        gives the discrepancy's stored status.
         """
         n = self.n
         total = self._total
         if sample_size >= total:
             ranks: range | list[int] = range(total)
-            checked = total
         else:
             if rng is None:
                 raise ValueError(f"a sampled audit ({sample_size} pairs) needs an rng")
             ranks = rng.sample(range(total), sample_size)
-            checked = sample_size
 
         log_u, log_v = self._log_u, self._log_v
         truth = [0] * n
@@ -593,7 +582,9 @@ class ProcessState:
         adj_mask = self._adj_mask
         rowbase = self._rowbase
         full = (1 << n) - 1
-        suspect: set[int] = set()
+        # by rank; vertices ascend, so a pair's first hit is its lower
+        # endpoint whenever that copy disagrees
+        found: dict[int, tuple[int, int, PairStatus, PairStatus]] = {}
         for v in range(n):
             edge = truth[v]
             others = full ^ (1 << v)
@@ -602,33 +593,22 @@ class ProcessState:
             while wrong:
                 w = wrong.bit_length() - 1
                 wrong ^= 1 << w
-                suspect.add(rowbase[v] + w if v < w else rowbase[w] + v)
-
-        # each pair is stored twice, as (open bit, edge bit) under either
-        # endpoint; a copy that disagrees with the ground truth is a
-        # discrepancy.  Only suspect pairs can be one; the sample keeps
-        # its own order.
-        hits = [r for r in ranks if r in suspect] if suspect else []
-        discrepancies: list[tuple[int, int, PairStatus, PairStatus]] = []
-        for r in hits:
-            u, v = self._unrank(r)
-            if truth[u] >> v & 1:
-                actual, bits = PairStatus.EDGE, (0, 1)
-            elif truth[u] & truth[v]:
-                actual, bits = PairStatus.CLOSED, (0, 0)
-            else:
-                actual, bits = PairStatus.OPEN, (1, 0)
-            if (open_mask[u] >> v & 1, adj_mask[u] >> v & 1) != bits:
-                discrepancies.append((u, v, self._stored_status(u, v), actual))
-            elif (open_mask[v] >> u & 1, adj_mask[v] >> u & 1) != bits:
-                discrepancies.append((u, v, self._stored_status(v, u), actual))
+                a, b = (v, w) if v < w else (w, v)
+                r = rowbase[a] + b
+                if r not in found:
+                    if edge >> w & 1:
+                        actual = PairStatus.EDGE
+                    elif truth_open >> w & 1:
+                        actual = PairStatus.OPEN
+                    else:
+                        actual = PairStatus.CLOSED
+                    found[r] = (a, b, self._stored_status(v, w), actual)
 
         return AuditReport(
-            pairs_checked=checked,
-            discrepancies=tuple(discrepancies),
+            pairs_checked=len(ranks),
+            discrepancies=tuple(found[r] for r in ranks if r in found) if found else (),
             triangles=tuple(triangles),
             open_count_consistent=(
                 sum(m.bit_count() for m in self._open_mask) == 2 * self._open_count
             ),
         )
-

@@ -1,13 +1,15 @@
 """Test-side references and fixtures over the package's state.
 
 None of these is part of the package: the engine never looks a pair up
-by its endpoints, never inserts a chosen pair, and never searches a
-whole graph for a copy.  The tests do all three, to build fixtures and
-to check the incremental code against a plain reference.  Import as
-`from reference import ...`.
+by its endpoints, never decodes a rank in closed form, never inserts a
+chosen pair, and never searches a whole graph for a copy.  The tests do
+all four, to build fixtures and to check the incremental code against a
+plain reference.  Import as `from reference import ...`.
 """
 
 from __future__ import annotations
+
+import math
 
 from trifree.patterns import Pattern, _build_order, _search, make_pattern
 from trifree.process import PairStatus, ProcessState, StepResult, _rowbase
@@ -27,6 +29,17 @@ def pair_rank(state: ProcessState, u: int, v: int) -> int:
     """The position of the pair {u, v} in the engine's rank order."""
     u, v = _pair(state, u, v)
     return _rowbase(state.n)[u] + v
+
+
+def unrank(state: ProcessState, rank: int) -> tuple[int, int]:
+    """The pair (u, v), u < v, of a rank: the inverse of `pair_rank`."""
+    # Read from the end, rows hold 1, 2, 3, ... pairs, so the pair
+    # `back` places before the last lies in row k from the end (0-based)
+    # for the largest k with k(k+1)/2 <= back; isqrt makes this exact.
+    back = state.total_pairs - 1 - rank
+    k = (math.isqrt(8 * back + 1) - 1) >> 1
+    u = state.n - 2 - k
+    return u, rank - _rowbase(state.n)[u]
 
 
 def pair_status(state: ProcessState, u: int, v: int) -> PairStatus:
@@ -49,7 +62,7 @@ def find_copy(rows: list[int], pattern: Pattern) -> tuple[int, ...] | None:
     unanchored over the whole graph.  A pattern larger than the graph has
     no copy: the first level's `need` is k, above the n candidates.
     """
-    copy = _search(rows, _build_order(pattern, anchored=None), {}, 0)
+    copy = _search(rows, _build_order(pattern, ()), {}, 0)
     return None if copy is None else tuple(copy[a] for a in range(pattern.k))
 
 

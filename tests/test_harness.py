@@ -632,6 +632,47 @@ def test_audit_run_catches_corruption(monkeypatch):
     assert report.discrepancies or not report.open_count_consistent
 
 
+def test_audit_cli_reports_each_failure(monkeypatch, capsys):
+    cleared = []
+    planted = []
+
+    class Corrupted(ProcessState):
+        """Clears one copy of an OPEN pair after step 1, then logs an edge
+        that closes a triangle."""
+
+        def step(self):
+            result = super().step()
+            if self.steps == 1:
+                u, v = next(
+                    (u, v)
+                    for u in range(self.n)
+                    for v in range(u + 1, self.n)
+                    if pair_status(self, u, v) == PairStatus.OPEN
+                )
+                self._open_mask[v] &= ~(1 << u)  # the higher endpoint's copy only
+                cleared.append((u, v))
+            elif self.steps >= 3 and not planted:
+                # two neighbours a < c of one vertex, joined in the log only
+                row = next((r for r in self.edge_masks if r.bit_count() >= 2), 0)
+                if row:
+                    a, c = [w for w in range(self.n) if row >> w & 1][:2]
+                    self._log_u.append(a)
+                    self._log_v.append(c)
+                    planted.append((a, c))
+            return result
+
+    monkeypatch.setattr(harness, "ProcessState", Corrupted)
+    assert main(["audit", "--n", "20", "--seed", "3"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert planted
+    (u, v), = cleared
+    assert "audit clean" not in lines
+    assert "audit FAILED at step 1:" in lines
+    assert f"  pair ({u}, {v}): stored CLOSED, recomputed OPEN" in lines
+    assert "  open-pair count disagrees with the status store" in lines
+    assert any(line.startswith("  triangle on (") for line in lines)
+
+
 def test_audit_oracle_smoke(monkeypatch, capsys):
     # criterion 2 runs the real comparison; here a stub gives a TV on each
     # side of the tolerance

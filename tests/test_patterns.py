@@ -125,6 +125,10 @@ def test_parse_error_line_numbers():
         parse_pattern("4 2\n0 1\nnot numbers\n")
     with pytest.raises(PatternError, match="line 4"):
         parse_pattern("4 2\n# comment\n0 1\n2 1\n")  # u < v violated
+    with pytest.raises(PatternError, match="line 3: edge \\(0, 5\\) out of range for k=3"):
+        parse_pattern("3 2\n0 1\n0 5\n")
+    with pytest.raises(PatternError, match="line 3: duplicate edge \\(0, 1\\)"):
+        parse_pattern("3 2\n0 1\n0 1\n")
     with pytest.raises(PatternError, match="declares 3"):
         parse_pattern("4 3\n0 1\n1 2\n")
     with pytest.raises(PatternError, match="empty"):

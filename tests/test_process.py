@@ -29,7 +29,7 @@ from trifree.process import (
 )
 from trifree.trajectory import TrajectoryParams, take_checkpoint
 
-from reference import force_step, pair_rank, pair_status
+from reference import force_step, pair_rank, pair_status, unrank
 
 
 def edge_list(state):
@@ -247,12 +247,12 @@ def test_rank_unrank_roundtrip():
         state = ProcessState(n, seed=0)
         pairs = all_pairs(n)
         assert [pair_rank(state, u, v) for u, v in pairs] == list(range(len(pairs)))
-        assert [state._unrank(r) for r in range(len(pairs))] == pairs
+        assert [unrank(state, r) for r in range(len(pairs))] == pairs
     state = ProcessState(2000, seed=0)
     total = state.total_pairs
     rng = random.Random(5)
     for rank in [0, total - 1] + [rng.randrange(total) for _ in range(10_000)]:
-        u, v = state._unrank(rank)
+        u, v = unrank(state, rank)
         assert 0 <= u < v < 2000
         assert pair_rank(state, u, v) == rank
 
@@ -272,7 +272,7 @@ def test_row_table_decode_matches_unrank():
         state = ProcessState(n, seed=0)
         total = state.total_pairs
         assert len(_rowblocks(n)) == (total + 63) // 64
-        bad = next((r for r in range(total) if table_unrank(n, r) != state._unrank(r)), None)
+        bad = next((r for r in range(total) if table_unrank(n, r) != unrank(state, r)), None)
         assert bad is None, (n, bad)
 
 
@@ -292,10 +292,10 @@ def test_step_and_sampler_decode_every_rank(n):
     # each sampler loop must keep it with its |Y|
     state = ProcessState(n, seed=n).run(Steps(n))
     ranks = range(state.total_pairs)
-    opened = [r for r in ranks if pair_status(state, *state._unrank(r)) == PairStatus.OPEN]
+    opened = [r for r in ranks if pair_status(state, *unrank(state, r)) == PairStatus.OPEN]
     assert 0 < len(opened) < len(ranks)
     for r in opened:
-        pair = state._unrank(r)
+        pair = unrank(state, r)
         expected = (partial_vertex_counts(state, [pair])[0], 1)
         for copies in (1, 22):  # the pool head, then the getrandbits loop
             assert sample_pools(copies, 1) == (copies == 1)
@@ -305,7 +305,7 @@ def test_step_and_sampler_decode_every_rank(n):
     for r in ranks:
         fresh.restart()
         fresh._open = range(r, r + 1)
-        assert fresh.step().chosen == fresh._unrank(r), r
+        assert fresh.step().chosen == unrank(fresh, r), r
 
 
 def test_pair_status_argument_errors():
@@ -424,7 +424,7 @@ def reference_discrepancies(state, ranks):
     rows = log_rows(state)
     out = []
     for r in ranks:
-        u, v = state._unrank(r)
+        u, v = unrank(state, r)
         actual = ground_truth_status(rows, u, v)
         bits = {
             PairStatus.EDGE: (0, 1),
@@ -459,7 +459,7 @@ def test_audit_matches_per_pair_reference():
         sample = random.Random(seed).sample(range(total), 17)
         sampled = state.audit(17, random.Random(seed))
         assert sampled.discrepancies == reference_discrepancies(state, sample)
-        in_sample = {state._unrank(r) for r in sample}
+        in_sample = {unrank(state, r) for r in sample}
         assert all((u, v) in in_sample for u, v, _, _ in sampled.discrepancies)
         sampled_hits += len(sampled.discrepancies)
     assert sampled_hits > 0
@@ -529,18 +529,17 @@ def test_sample_open_pairs_on_stale_index():
 
 def reference_sample_open_pairs(state, count, rng):
     """The open pairs a checkpoint samples, drawn with `rng.sample`,
-    `randrange` and `_unrank` (test-side reference)."""
+    `randrange` and `unrank` (test-side reference)."""
     index = state._open
     open_mask = state._open_mask
-    unrank = state._unrank
     if count >= state.open_pairs:
-        pairs = map(unrank, index)
+        pairs = (unrank(state, r) for r in index)
         return [(u, v) for u, v in pairs if open_mask[u] >> v & 1]
     length = len(index)
     positions = rng.sample(range(length), min(count, length))
     out = []
     for i in positions:
-        u, v = unrank(index[i])
+        u, v = unrank(state, index[i])
         if open_mask[u] >> v & 1:
             out.append((u, v))
     if len(out) < count:
@@ -549,7 +548,7 @@ def reference_sample_open_pairs(state, count, rng):
             i = rng.randrange(length)
             if i not in seen:
                 seen.add(i)
-                u, v = unrank(index[i])
+                u, v = unrank(state, index[i])
                 if open_mask[u] >> v & 1:
                     out.append((u, v))
     return out
