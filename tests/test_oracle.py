@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations
@@ -48,7 +49,7 @@ def reference_permutation_final_edges(n, rng):
     return frozenset(edges)
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 10))  # draw widths up to 6 bits
 def test_permutation_pass_matches_shuffle_reference(n):
     for seed in (0, 1, 7, 2024):
         a = random.Random(seed)
@@ -87,3 +88,23 @@ def test_engine_distribution_draws_from_one_seeded_state(monkeypatch):
     assert inits == [(5, 9)]  # one state per call, restarted per trial
     assert engine_distribution(5, trials=300, seed=9) == first
     assert len(inits) == 2
+
+
+def test_distribution_streams_are_pinned():
+    # Both streams, each final graph and the Counters' insertion order:
+    # a refactor of either side's trials must leave these digests alone.
+    digests = {
+        (side.__name__, n): hashlib.sha256(
+            repr(
+                [(tuple(sorted(edges)), count) for edges, count in side(n, 2000, 9).items()]
+            ).encode()
+        ).hexdigest()
+        for side in (engine_distribution, permutation_distribution)
+        for n in (4, 5)
+    }
+    assert digests == {
+        ("engine_distribution", 4): "e944c2a5f9c3afb8f675a83088e00f898eea484ef025df065fca9a7d7eb1efc2",
+        ("engine_distribution", 5): "9a18c18450b7ede74ee4aefdfba6d5b69a11da795b9e7ebba3b12094d28ab15c",
+        ("permutation_distribution", 4): "0c65e7b025ba7f194fd2ca856f2cc00877b4c20b6f0ab751b285fdda8bca609c",
+        ("permutation_distribution", 5): "2721350d1c7577518b48d6700b683b601582f4f611323feecdc1d49bdb0b5c26",
+    }
