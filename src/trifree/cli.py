@@ -154,7 +154,15 @@ def _do_audit(args: argparse.Namespace) -> int:
     _note_empty_horizon(config.n)
     outcome = audit_run(config)
     print(f"audits run: {outcome.audits}")
+    printed = None
+    repeats = 0
     for step, report in outcome.failures:
+        # a defect that persists is printed once, then counted
+        findings = (report.discrepancies, report.triangles, report.open_count_consistent)
+        if findings == printed:
+            repeats += 1
+            continue
+        printed = findings
         print(f"audit FAILED at step {step}:")
         for u, v, stored, actual in report.discrepancies[:20]:
             print(f"  pair ({u}, {v}): stored {stored.name}, recomputed {actual.name}")
@@ -162,6 +170,8 @@ def _do_audit(args: argparse.Namespace) -> int:
             print(f"  triangle on ({u}, {v}, {w})")
         if not report.open_count_consistent:
             print("  open-pair count disagrees with the status store")
+    if repeats:
+        print(f"{repeats} of the failing audits repeated the findings printed before them")
     tv_ok = tv is None or tv <= TV_TOLERANCE
     if tv is not None:
         print(

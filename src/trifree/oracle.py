@@ -13,10 +13,12 @@ from one `random.Random(seed)`, the engine runs from one
 `ProcessState(n, seed)`, restarted before each run.
 
 A pass keeps its graph as int bit rows, one per vertex, and admits a
-pair iff the rows of its endpoints share no bit.  Its shuffle writes out
-`random.shuffle`: the same draws and the same final RNG state, which
-`test_permutation_pass_matches_shuffle_reference` pins on the running
-Python.
+pair iff the rows of its endpoints share no bit; its final graph holds
+the shuffled tuples of `_pairs(n)` themselves.  Its shuffle writes out
+`random.shuffle` from a cached per-n plan, `_shuffle_plan(n)`: the same
+draws and final RNG state, as
+`test_permutation_pass_matches_shuffle_reference` checks on the running
+Python.  `test_distribution_streams_are_pinned` pins both sides' trials.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from __future__ import annotations
 import functools
 import random
 from collections import Counter
+from itertools import repeat
 
-from .process import ProcessState, Saturation
+from .process import ProcessState, _bits
 
 EdgeSet = frozenset[tuple[int, int]]
 TRIALS = 100_000  # final graphs drawn per side by `equivalence_tv`
@@ -39,26 +42,31 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
+@functools.cache  # per swap of the shuffle: position i, bound m = i + 1, draw width
+def _shuffle_plan(n: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple((i, i + 1, (i + 1).bit_length()) for i in range(len(_pairs(n)) - 1, 0, -1))
+
+
 def permutation_final_edges(n: int, rng: random.Random) -> EdgeSet:
     """Final graph of one permutation-ordered insertion pass."""
     pairs = list(_pairs(n))
     # rng.shuffle(pairs), written out: Fisher-Yates over CPython's
-    # _randbelow_with_getrandbits, a uniform draw below i + 1 by redraws
+    # _randbelow_with_getrandbits, a uniform draw below m by redraws
     getrandbits = rng.getrandbits
-    for i in range(len(pairs) - 1, 0, -1):
-        m = i + 1
-        k = m.bit_length()
+    for i, m, k in _shuffle_plan(n):
         j = getrandbits(k)
         while j >= m:
             j = getrandbits(k)
         pairs[i], pairs[j] = pairs[j], pairs[i]
+    bits = _bits(n)
     adjacency = [0] * n
     edges: list[tuple[int, int]] = []
-    for u, v in pairs:
+    for pair in pairs:
+        u, v = pair
         if not adjacency[u] & adjacency[v]:
-            adjacency[u] |= 1 << v
-            adjacency[v] |= 1 << u
-            edges.append((u, v))
+            adjacency[u] |= bits[v]
+            adjacency[v] |= bits[u]
+            edges.append(pair)
     return frozenset(edges)
 
 
@@ -66,24 +74,16 @@ def engine_final_edges(state: ProcessState) -> EdgeSet:
     """Final graph of one engine run to saturation from the empty graph;
     `state` is restarted first and its RNG runs on."""
     state.restart()
-    state.run(Saturation())
+    state.run()
     return frozenset(state.iter_edges())
 
 
 def permutation_distribution(n: int, trials: int, seed: int) -> Counter[EdgeSet]:
-    rng = random.Random(seed)
-    counts: Counter[EdgeSet] = Counter()
-    for _ in range(trials):
-        counts[permutation_final_edges(n, rng)] += 1
-    return counts
+    return Counter(map(permutation_final_edges, repeat(n, trials), repeat(random.Random(seed))))
 
 
 def engine_distribution(n: int, trials: int, seed: int) -> Counter[EdgeSet]:
-    state = ProcessState(n, seed)
-    counts: Counter[EdgeSet] = Counter()
-    for _ in range(trials):
-        counts[engine_final_edges(state)] += 1
-    return counts
+    return Counter(map(engine_final_edges, repeat(ProcessState(n, seed), trials)))
 
 
 def total_variation(a: Counter, b: Counter) -> float:

@@ -576,7 +576,12 @@ class ProcessState:
             reach[v] |= truth[u]
             common = truth[u] & truth[v]
             if common:
-                triangles.append((u, v, (common & -common).bit_length() - 1))
+                # each triangle once: from its two lowest vertices' edge
+                common &= -2 << max(u, v)
+                while common:
+                    w = (common & -common).bit_length() - 1
+                    triangles.append((u, v, w))
+                    common ^= 1 << w
 
         open_mask = self._open_mask
         adj_mask = self._adj_mask

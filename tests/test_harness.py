@@ -632,14 +632,11 @@ def test_audit_run_catches_corruption(monkeypatch):
     assert report.discrepancies or not report.open_count_consistent
 
 
-def test_audit_cli_reports_each_failure(monkeypatch, capsys):
-    cleared = []
-    planted = []
+def corrupted_state_class(cleared, planted):
+    """A ProcessState that clears one copy of an OPEN pair after step 1,
+    then logs an edge that closes a triangle; it records both faults."""
 
     class Corrupted(ProcessState):
-        """Clears one copy of an OPEN pair after step 1, then logs an edge
-        that closes a triangle."""
-
         def step(self):
             result = super().step()
             if self.steps == 1:
@@ -661,6 +658,13 @@ def test_audit_cli_reports_each_failure(monkeypatch, capsys):
                     planted.append((a, c))
             return result
 
+    return Corrupted
+
+
+def test_audit_cli_reports_each_failure(monkeypatch, capsys):
+    cleared = []
+    planted = []
+    Corrupted = corrupted_state_class(cleared, planted)
     monkeypatch.setattr(harness, "ProcessState", Corrupted)
     assert main(["audit", "--n", "20", "--seed", "3"]) == 2
     lines = capsys.readouterr().out.splitlines()
@@ -671,6 +675,26 @@ def test_audit_cli_reports_each_failure(monkeypatch, capsys):
     assert f"  pair ({u}, {v}): stored CLOSED, recomputed OPEN" in lines
     assert "  open-pair count disagrees with the status store" in lines
     assert any(line.startswith("  triangle on (") for line in lines)
+
+
+def test_audit_cli_prints_a_repeated_failure_once(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "ProcessState", corrupted_state_class([], []))
+    failing = len(audit_run(RunConfig(n=20, seed=3)).failures)
+    monkeypatch.setattr(harness, "ProcessState", corrupted_state_class([], []))
+    assert main(["audit", "--n", "20", "--seed", "3"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    blocks = []
+    for line in lines:
+        if line.startswith("audit FAILED at step "):
+            blocks.append([])
+        elif line.startswith("  ") and blocks:
+            blocks[-1].append(line)
+    assert all(a != b for a, b in zip(blocks, blocks[1:]))
+    repeats = re.fullmatch(
+        r"(\d+) of the failing audits repeated the findings printed before them", lines[-1]
+    )
+    assert repeats and int(repeats[1]) > 0
+    assert len(blocks) + int(repeats[1]) == failing
 
 
 def test_audit_oracle_smoke(monkeypatch, capsys):
@@ -890,3 +914,25 @@ def test_benchmark_entry_points_exist():
 
     outcome = Counting(12, seed=1).run(Saturation())
     assert calls == list(range(outcome.steps + 1))
+
+
+def test_oracle_spans_see_every_trial(monkeypatch):
+    # the oracle spans wrap the module-level per-trial functions, so each
+    # distribution must look them up at call time, not bind them earlier
+    expected = {
+        "engine": oracle.engine_distribution(4, 50, 1),
+        "permutation": oracle.permutation_distribution(4, 50, 1),
+    }
+    calls = {"engine": 0, "permutation": 0}
+    for side in calls:
+        name = f"{side}_final_edges"
+        trial = getattr(oracle, name)
+
+        def counting(*args, side=side, trial=trial):
+            calls[side] += 1
+            return trial(*args)
+
+        monkeypatch.setattr(oracle, name, counting)
+    assert oracle.engine_distribution(4, 50, 1) == expected["engine"]
+    assert oracle.permutation_distribution(4, 50, 1) == expected["permutation"]
+    assert calls == {"engine": 50, "permutation": 50}

@@ -476,7 +476,17 @@ def test_audit_detects_planted_triangle():
     state._log_u.append(0)
     state._log_v.append(2)
     report = state.audit(state.total_pairs)
-    assert report.triangles == ((0, 1, 2), (1, 2, 0), (0, 2, 1))
+    assert report.triangles == ((0, 1, 2),)  # once, not once per edge
+
+
+def test_audit_lists_each_triangle_on_a_shared_edge():
+    state = ProcessState(6, seed=8)
+    # two triangles on the edge (0, 1), logged without the status store
+    for u, v in ((0, 1), (1, 2), (0, 2), (0, 3), (1, 3)):
+        state._log_u.append(u)
+        state._log_v.append(v)
+    report = state.audit(state.total_pairs)
+    assert report.triangles == ((0, 1, 2), (0, 1, 3))
 
 
 def test_audit_sampling_subset():
